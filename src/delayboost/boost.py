@@ -42,7 +42,6 @@ class BoostParams:
     estimators: int = 100
     learning_rate: float = 0.1
     tree_params: TreeParams = field(default_factory=TreeParams)
-    seed: int = 0
 
     def __post_init__(self):
         if self.estimators < 0:
@@ -112,14 +111,15 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
         p = sigmoid(f)
         residual = y - p
         tree = fit_tree(X, residual, params.tree_params)
+        leaf = tree.apply(X)
         weight = p * (1.0 - p)
         values = tree.value.copy()
-        for leaf, rows in tree.leaf_indices.items():
+        for node in tree.leaf_nodes:
+            rows = leaf == node
             denom = weight[rows].sum()
-            gamma = residual[rows].sum() / denom if denom >= _NEWTON_GUARD else 0.0
-            values[leaf] = gamma
-            f[rows] += params.learning_rate * gamma
-        trees.append(replace(tree, value=values, leaf_indices=None))
+            values[node] = residual[rows].sum() / denom if denom >= _NEWTON_GUARD else 0.0
+        f += params.learning_rate * values[leaf]
+        trees.append(replace(tree, value=values))
         deviance.append(mean_deviance(y, f))
         accuracy.append(_accuracy(y, f))
 

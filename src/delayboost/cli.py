@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +58,6 @@ class RunConfig:
     smote_percent: int
     train_fraction: float
     seed: int
-    threads: int = 1
 
     @property
     def strategy(self) -> str:
@@ -72,7 +72,6 @@ class RunConfig:
             smote_percent=args.smote_percent,
             train_fraction=getattr(args, "train_frac", 0.8),
             seed=args.seed,
-            threads=getattr(args, "threads", 1),
         )
 
 
@@ -267,7 +266,6 @@ def cmd_train(args):
         estimators=args.estimators,
         learning_rate=args.learning_rate,
         tree_params=_tree_params(args),
-        seed=cfg.seed,
     )
     model, trace = boost.fit_gbc(split.train, params)
 
@@ -380,11 +378,27 @@ def _resolve_one_hot(schema: dataset.Schema, arg):
     return tuple(c for c in encode.DEFAULT_ONE_HOT if c in categorical)
 
 
-def _encoded_matrix(args) -> encode.FeatureMatrix:
-    schema = _read_schema(args.schema)
-    ds = dataset.drop_missing_labels(dataset.load_csv(args.input, schema))
-    plan = encode.fit_encoding(ds, one_hot=_resolve_one_hot(schema, args.one_hot))
+def _encoded_matrix(cfg: RunConfig) -> encode.FeatureMatrix:
+    schema = _read_schema(cfg.schema_path)
+    ds = dataset.drop_missing_labels(dataset.load_csv(cfg.input_path, schema))
+    plan = encode.fit_encoding(ds, one_hot=_resolve_one_hot(schema, cfg.one_hot))
     return encode.apply_encoding(ds, plan)
+
+
+def _apply_balancing(fm: encode.FeatureMatrix, cfg: RunConfig) -> encode.FeatureMatrix:
+    """Strategy 2 oversamples the minority class; Strategy 1 returns fm as is."""
+    if cfg.smote_percent == 0:
+        return fm
+    smote = resample.SmoteConfig(cfg.smote_percent, seed=stage_seed(cfg.seed, SMOTE_STAGE))
+    return resample.random_smote(fm, smote)
+
+
+def _prepare_split(cfg: RunConfig) -> encode.SplitPair:
+    """Encode, balance, then shuffle and split into training and validation."""
+    fm = _apply_balancing(_encoded_matrix(cfg), cfg)
+    return encode.shuffle_split(
+        fm, cfg.train_fraction, seed=stage_seed(cfg.seed, SPLIT_STAGE)
+    )
 
 
 def _load_with_plan(path, model, missing_label_ok: bool, drop_unlabelled: bool = True):

@@ -5,8 +5,9 @@ text (categorical and label columns), floats (continuous columns), or
 ``None`` for missing values.  Datasets are treated as immutable after
 construction; every operation returns a new object and preserves the input.
 
-CSV dialect: UTF-8, comma separated, mandatory header row, double-quote
-quoting with doubled-quote escaping, empty field = missing value.
+CSV dialect: UTF-8 (a leading byte-order mark is skipped), comma separated,
+mandatory header row, double-quote quoting with doubled-quote escaping, empty
+field = missing value.
 """
 
 from __future__ import annotations
@@ -148,11 +149,16 @@ def _parse_cell(text: str, kind: str, column: str, line: int):
         return None
     if kind == CONTINUOUS:
         try:
-            return float(text)
+            value = float(text)
         except ValueError:
             raise FieldParseError(
                 f"line {line}: non-numeric value {text!r} in continuous column {column!r}"
             ) from None
+        if not math.isfinite(value):
+            raise FieldParseError(
+                f"line {line}: non-finite value {text!r} in continuous column {column!r}"
+            )
+        return value
     return text
 
 
@@ -167,9 +173,9 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
     Raises:
         MissingColumnError: a schema column is absent from the header.
         RowArityError: a data row's field count differs from the header's.
-        FieldParseError: non-numeric text in a continuous column.
+        FieldParseError: non-numeric or non-finite text in a continuous column.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

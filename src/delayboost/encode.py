@@ -173,49 +173,32 @@ def apply_encoding(ds: Dataset, plan: EncodingPlan, training: bool = True) -> Fe
     `missing_labels` and encode as 0.
     """
     n = ds.n_rows
-    out_names = plan.output_names
-    values = np.zeros((n, len(out_names)), dtype=np.float64)
+    blocks = [np.empty((n, 0))]  # keeps the join defined for a label-only plan
     unseen = 0
-
-    src_idx = {c.name: ds.schema.index_of(c.name) for c in plan.feature_columns}
-    out = 0
     for col in plan.feature_columns:
-        i = src_idx[col.name]
+        i = ds.schema.index_of(col.name)
+        cells = [row[i] for row in ds.rows]
+        if None in cells:
+            r = cells.index(None)
+            raise MissingCellError(f"row {r}: missing value in column {col.name!r}")
         if col.kind == CONTINUOUS:
-            for r, row in enumerate(ds.rows):
-                if row[i] is None:
-                    raise MissingCellError(f"row {r}: missing value in column {col.name!r}")
-                values[r, out] = row[i]
-            out += 1
+            blocks.append(np.array(cells, dtype=np.float64).reshape(n, 1))
             continue
         cats = plan.categories[col.name]
-        codes = {v: j for j, v in enumerate(cats)}
+        lookup = {v: j for j, v in enumerate(cats)}
+        codes = np.array([lookup.get(str(c), -1) for c in cells], dtype=np.int64)
+        misses = np.flatnonzero(codes < 0)
+        if misses.size:
+            if training:
+                raise UnseenCategoryError(
+                    f"value {str(cells[misses[0]])!r} in column {col.name!r} not in plan"
+                )
+            unseen += misses.size
         if col.name in plan.one_hot:
-            for r, row in enumerate(ds.rows):
-                cell = _require_cell(row[i], r, col.name)
-                j = codes.get(cell)
-                if j is None:
-                    if training:
-                        raise UnseenCategoryError(
-                            f"value {cell!r} in column {col.name!r} not in plan"
-                        )
-                    unseen += 1
-                else:
-                    values[r, out + j] = 1.0
-            out += len(cats)
+            blocks.append(codes[:, None] == np.arange(len(cats)))
         else:
-            for r, row in enumerate(ds.rows):
-                cell = _require_cell(row[i], r, col.name)
-                j = codes.get(cell)
-                if j is None:
-                    if training:
-                        raise UnseenCategoryError(
-                            f"value {cell!r} in column {col.name!r} not in plan"
-                        )
-                    unseen += 1
-                    j = -1
-                values[r, out] = j
-            out += 1
+            blocks.append(codes[:, None])
+    values = np.concatenate(blocks, axis=1, dtype=np.float64)
 
     labels = np.zeros(n, dtype=np.int64)
     li = ds.schema.label_index
@@ -232,17 +215,11 @@ def apply_encoding(ds: Dataset, plan: EncodingPlan, training: bool = True) -> Fe
     return FeatureMatrix(
         values=values,
         labels=labels,
-        column_names=out_names,
+        column_names=plan.output_names,
         plan=plan,
         unseen_categories=unseen,
         missing_labels=missing_labels,
     )
-
-
-def _require_cell(cell, row: int, column: str) -> str:
-    if cell is None:
-        raise MissingCellError(f"row {row}: missing value in column {column!r}")
-    return str(cell)
 
 
 @dataclass(frozen=True)

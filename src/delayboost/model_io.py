@@ -45,7 +45,7 @@ def model_to_doc(model: BoostedModel, metadata: dict | None = None) -> dict:
 
 
 def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
-    """Rebuild (model, metadata); validates structure and the plan digest."""
+    """Rebuild (model, metadata); validates structure, the plan digest and widths."""
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CorruptModelError("not a model document")
     if doc["format_version"] != FORMAT_VERSION:
@@ -64,6 +64,14 @@ def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
             n_features=int(doc["n_features"]),
             plan=plan,
         )
+        widths = {f"tree {i}": t.n_features for i, t in enumerate(model.trees)}
+        if plan is not None:
+            widths["encoding plan"] = len(plan.output_names)
+        for part, width in widths.items():
+            if width != model.n_features:
+                raise CorruptModelError(
+                    f"{part} has {width} features, model has {model.n_features}"
+                )
         return model, doc.get("metadata", {})
     except (KeyError, TypeError, ValueError) as exc:
         raise CorruptModelError(f"malformed model file: {exc}") from None

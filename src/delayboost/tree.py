@@ -8,13 +8,12 @@ is deterministic no matter how the search is scheduled.  Rows route left when
 x[feature] <= threshold.
 
 Nodes live in flat parallel arrays (feature, threshold, left, right, value);
-leaves have feature -1.  Fitted trees also retain, per leaf, the indices of
-the training rows it holds, which the boosting stage uses to re-value leaves.
+leaves have feature -1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,15 +54,18 @@ class RegressionTree:
     right: np.ndarray
     value: np.ndarray     # leaf prediction; NaN on internal nodes
     n_features: int
-    leaf_indices: dict | None = None  # leaf node id -> training row indices
 
     @property
     def n_nodes(self) -> int:
         return self.feature.size
 
     @property
+    def leaf_nodes(self) -> np.ndarray:
+        return np.flatnonzero(self.feature == _LEAF)
+
+    @property
     def n_leaves(self) -> int:
-        return int((self.feature == _LEAF).sum())
+        return self.leaf_nodes.size
 
     @property
     def depth(self) -> int:
@@ -91,10 +93,6 @@ class RegressionTree:
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
-
-    def with_values(self, value: np.ndarray) -> "RegressionTree":
-        """Copy of the tree with replaced leaf values (boosting line-search)."""
-        return replace(self, value=np.asarray(value, dtype=np.float64))
 
     def to_doc(self) -> dict:
         return {
@@ -163,24 +161,13 @@ def fit_tree(X: np.ndarray, targets: np.ndarray, params: TreeParams) -> Regressi
         right=np.asarray(builder.right, dtype=np.int64),
         value=np.asarray(builder.value, dtype=np.float64),
         n_features=X.shape[1],
-        leaf_indices=builder.leaf_indices,
     )
 
 
 def predict_tree(tree: RegressionTree, x) -> float:
     """Route a single row to its leaf and return the leaf value."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.size != tree.n_features:
-        raise DimensionMismatchError(
-            f"expected {tree.n_features} features, got {x.size}"
-        )
-    node = 0
-    while tree.feature[node] != _LEAF:
-        if x[tree.feature[node]] <= tree.threshold[node]:
-            node = int(tree.left[node])
-        else:
-            node = int(tree.right[node])
-    return float(tree.value[node])
+    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
+    return float(tree.predict(x)[0])
 
 
 class _Builder:
@@ -195,7 +182,6 @@ class _Builder:
         self.left = []
         self.right = []
         self.value = []
-        self.leaf_indices = {}
 
     def _new_node(self) -> int:
         self.feature.append(_LEAF)
@@ -207,7 +193,6 @@ class _Builder:
 
     def _leaf(self, node: int, idx: np.ndarray):
         self.value[node] = float(self.t[idx].mean())
-        self.leaf_indices[node] = idx
 
     def grow(self, idx: np.ndarray, depth: int) -> int:
         node = self._new_node()

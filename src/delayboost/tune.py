@@ -4,9 +4,7 @@ Folds are built once per search: within each class, row indices are shuffled
 by a PCG64 generator seeded with the search seed and dealt into `folds`
 chunks whose sizes differ by at most one, so every fold keeps the class
 proportions of the full set.  Every grid cell is evaluated on the same
-folds.  Cell seeds derive deterministically from (seed, cell coordinates)
-through NumPy's SeedSequence, so evaluating cells in parallel cannot change
-the result.
+folds.
 
 The best cell maximizes mean held-out score; ties break to the smallest
 estimator count, then the smallest depth, preferring the cheaper model.
@@ -148,14 +146,12 @@ def grid_search(
     cells = []
     best = None
     best_mean = -np.inf
-    for i, estimators in enumerate(grid.estimator_values):
-        for j, depth in enumerate(grid.depth_values):
-            cell_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
+    for estimators in grid.estimator_values:
+        for depth in grid.depth_values:
             params = replace(
                 base,
                 estimators=estimators,
                 tree_params=replace(base.tree_params, max_depth=depth),
-                seed=cell_seed,
             )
             scores = []
             for val_idx in val_folds:

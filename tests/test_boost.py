@@ -24,12 +24,11 @@ from delayboost.errors import (
 from delayboost.tree import TreeParams
 
 
-def quick_params(estimators=10, lr=0.1, depth=2, seed=0):
+def quick_params(estimators=10, lr=0.1, depth=2):
     return BoostParams(
         estimators=estimators,
         learning_rate=lr,
         tree_params=TreeParams(max_depth=depth),
-        seed=seed,
     )
 
 
@@ -196,6 +195,24 @@ class TestDegenerateLeaf:
         assert np.all(np.isfinite(scores))
         dev = np.array(trace.deviance)
         assert np.all(np.diff(dev) <= 1e-9)
+
+
+class TestNewtonStep:
+    def test_one_round_leaves_are_newton_steps(self, separable):
+        X, y = separable.values, separable.labels
+        model, _ = fit_gbc(separable, quick_params(estimators=1, depth=3))
+        tree = model.trees[0]
+        p = np.full(y.size, y.mean())
+        residual = y - p
+        weight = p * (1.0 - p)
+        leaf = tree.apply(X)
+        for node in tree.leaf_nodes:
+            rows = leaf == node
+            assert rows.any()
+            expected = residual[rows].sum() / weight[rows].sum()
+            assert tree.value[node] == pytest.approx(expected, rel=1e-12, abs=1e-15)
+        scores = decision_function(model, X)
+        assert np.array_equal(scores, model.f0 + model.learning_rate * tree.value[leaf])
 
 
 class TestDeterminism:

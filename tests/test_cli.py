@@ -215,6 +215,18 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_model_wider_than_its_plan_is_3(self, workspace, capsys):
+        assert run(*train_args(workspace)) == 0
+        path = workspace / "model.json"
+        doc = json.loads(path.read_text())
+        doc["n_features"] += 1
+        for tree in doc["trees"]:
+            tree["n_features"] += 1
+        path.write_text(json.dumps(doc))
+        code = run("evaluate", "--model", path, "--input", workspace / "data.csv")
+        assert code == 3
+        assert "encoding plan has" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_same_seed_identical_outputs(self, workspace):

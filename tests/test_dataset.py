@@ -67,6 +67,16 @@ class TestLoadCsv:
         with pytest.raises(FieldParseError):
             load_csv(write(tmp_path, "CRS_Dep,ArrDel15\nabc,1\n"), TWO_COL)
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_continuous(self, tmp_path, text):
+        with pytest.raises(FieldParseError):
+            load_csv(write(tmp_path, f"CRS_Dep,ArrDel15\n930,0\n{text},1\n"), TWO_COL)
+
+    def test_byte_order_mark_before_header(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfCRS_Dep,ArrDel15\n930,0\n")
+        assert load_csv(path, TWO_COL).rows == ((930.0, "0"),)
+
     def test_extra_columns_ignored(self, tmp_path):
         text = "Extra,CRS_Dep,ArrDel15,Tail\nz,930,1,q\n"
         ds = load_csv(write(tmp_path, text), TWO_COL)

@@ -89,6 +89,20 @@ class TestValidation:
         with pytest.raises(CorruptModelError):
             load_model(path)
 
+    @pytest.mark.parametrize("tamper", ["tree", "model"])
+    def test_width_mismatch(self, trained, tmp_path, tamper):
+        model, _ = trained
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        if tamper == "tree":
+            doc["trees"][-1]["n_features"] += 1
+        else:
+            doc["n_features"] += 1  # every tree still says 2
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModelError):
+            load_model(path)
+
     def test_not_a_model(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"hello": 1}')

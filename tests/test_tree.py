@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from delayboost.errors import (
     DimensionMismatchError,
@@ -148,17 +151,20 @@ class TestOracle:
         X = rng.normal(size=(50, 2))
         t = rng.normal(size=50)
         tree = fit_tree(X, t, TreeParams(max_depth=3))
-        for leaf, rows in tree.leaf_indices.items():
-            assert tree.value[leaf] == t[rows].mean()
-        assert np.array_equal(tree.predict(X), tree.value[tree.apply(X)])
+        leaf = tree.apply(X)
+        assert np.array_equal(np.unique(leaf), tree.leaf_nodes)
+        for node in tree.leaf_nodes:
+            assert tree.value[node] == t[leaf == node].mean()
+        assert np.array_equal(tree.predict(X), tree.value[leaf])
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(17)
         X = rng.normal(size=(40, 2))
         t = rng.normal(size=40)
         tree = fit_tree(X, t, TreeParams(max_depth=6, min_samples_leaf=5))
-        for rows in tree.leaf_indices.values():
-            assert rows.size >= 5
+        leaf = tree.apply(X)
+        for node in tree.leaf_nodes:
+            assert (leaf == node).sum() >= 5
 
     def test_max_depth_respected(self):
         rng = np.random.default_rng(19)
@@ -181,6 +187,50 @@ class TestOracle:
         t1 = fit_tree(X, t, TreeParams(max_depth=4))
         t2 = fit_tree(X, t, TreeParams(max_depth=4))
         assert t1.to_doc() == t2.to_doc()
+
+
+def _cells(n, d):
+    # small integers give ties; the floats give distinct values
+    element = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
+    return arrays(np.float64, (n, d), elements=element)
+
+
+@st.composite
+def _fit_inputs(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 3))
+    X = draw(_cells(n, d))
+    t = draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    return X, t, draw(st.integers(0, 5))
+
+
+class TestRoutingProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(_fit_inputs())
+    def test_every_ancestor_agrees_with_the_branch_taken(self, inputs):
+        X, t, depth = inputs
+        tree = fit_tree(X, t, TreeParams(max_depth=depth))
+        parent = {}
+        probes = []  # rows that sit exactly on a threshold must go left
+        for node in range(tree.n_nodes):
+            if tree.feature[node] != -1:
+                parent[int(tree.left[node])] = node
+                parent[int(tree.right[node])] = node
+                probe = X[0].copy()
+                probe[tree.feature[node]] = tree.threshold[node]
+                probes.append(probe)
+        rows = np.vstack([X, *probes])
+        leaf = tree.apply(rows)
+        for r, x in enumerate(rows):
+            node = int(leaf[r])
+            assert tree.feature[node] == -1
+            while node in parent:
+                up = parent[node]
+                went_left = node == tree.left[up]
+                assert (x[tree.feature[up]] <= tree.threshold[up]) == went_left
+                node = up
+            assert node == 0
+            assert predict_tree(tree, x) == tree.value[leaf[r]]
 
 
 class TestSerialization:
