@@ -1,13 +1,15 @@
 """Raw tabular flight data: loading, concatenation, filtering, and cleaning.
 
-A :class:`Dataset` is a schema-typed table of raw cells.  Cells are either
-text (categorical and label columns), floats (continuous columns), or
-``None`` for missing values.  Datasets are treated as immutable after
-construction; every operation returns a new object and preserves the input.
+A :class:`Dataset` stores one read-only NumPy array per schema column:
+``float64`` with NaN for a missing cell (continuous columns), or ``str`` with
+``""`` for a missing cell (categorical and label columns).  Only this module
+knows those sentinels; others call ``Dataset.missing(name)``.  Every
+operation returns a new object and preserves the input.
 
 CSV dialect: UTF-8 (a leading byte-order mark is skipped), comma separated,
 mandatory header row, double-quote quoting with doubled-quote escaping, empty
-field = missing value.
+field = missing value.  A file holding NUL is rejected, because ``str``
+arrays drop trailing NULs.
 """
 
 from __future__ import annotations
@@ -69,12 +71,8 @@ class Schema:
         return [c.name for c in self.columns]
 
     @property
-    def label_index(self) -> int:
-        return next(i for i, c in enumerate(self.columns) if c.kind == LABEL)
-
-    @property
     def label_name(self) -> str:
-        return self.columns[self.label_index].name
+        return next(c.name for c in self.columns if c.kind == LABEL)
 
     def index_of(self, name: str) -> int:
         for i, c in enumerate(self.columns):
@@ -96,25 +94,51 @@ class Schema:
         return cls(cols, doc["positive_label_value"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
+    """Columns in schema order: any 1-D sequences, with None for a missing cell.
+
+    Compared by identity, since a comparison of arrays has no single truth value.
+    """
+
     schema: Schema
-    rows: tuple[tuple, ...]
+    columns: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(tuple(r) for r in self.rows))
-        width = len(self.schema.columns)
-        for r in self.rows:
-            if len(r) != width:
-                raise ValueError("row width does not match schema")
+        kinds = [c.kind for c in self.schema.columns]
+        columns = tuple(_as_column(v, k) for v, k in zip(self.columns, kinds, strict=True))
+        if len({c.size for c in columns}) > 1:
+            raise ValueError("columns differ in length")
+        object.__setattr__(self, "columns", columns)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.columns[0].size
 
-    def column(self, name: str) -> list:
-        i = self.schema.index_of(name)
-        return [r[i] for r in self.rows]
+    def column(self, name: str) -> np.ndarray:
+        return self.columns[self.schema.index_of(name)]
+
+    def missing(self, name: str) -> np.ndarray:
+        """Boolean mask of the rows whose cell in column `name` is missing."""
+        col = self.column(name)
+        return np.isnan(col) if col.dtype.kind == "f" else col == ""
+
+
+def _as_column(values, kind: str) -> np.ndarray:
+    col = np.asarray(values)
+    if col.ndim != 1:
+        raise ValueError("each column must be one-dimensional")
+    if col.dtype == object:
+        col = np.where(np.equal(col, None), np.nan if kind == CONTINUOUS else "", col)
+    col = col.astype(np.float64 if kind == CONTINUOUS else np.str_)
+    col.flags.writeable = False
+    return col
+
+
+def _per_value(col: np.ndarray, fn, dtype) -> np.ndarray:
+    """Apply `fn` once per distinct value of `col`; return its results per row."""
+    distinct, inverse = np.unique(col, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()], dtype=dtype)[inverse]
 
 
 @dataclass(frozen=True)
@@ -143,90 +167,130 @@ def label_values_equal(a: str, b: str) -> bool:
         return False
 
 
+def label_classes(ds: Dataset, positive_value: str) -> np.ndarray:
+    """Resolve each label cell to 1 (positive), 0 (negative) or -1 (missing).
+
+    Labels equal to `positive_value` under label_values_equal are positive.
+    The first other label in row order is the negative value; a label
+    matching neither raises UnrecognizedLabelValueError.
+    """
+    present = ~ds.missing(ds.schema.label_name)
+    labels = ds.column(ds.schema.label_name)[present]
+    distinct, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    texts = [t.strip() for t in distinct.tolist()]
+    positive = np.array([label_values_equal(t, positive_value) for t in texts], dtype=np.int64)
+    others = np.flatnonzero(positive == 0)
+    others = others[np.argsort(first[others])]
+    for j in others[1:]:
+        if not label_values_equal(texts[j], texts[others[0]]):
+            raise UnrecognizedLabelValueError(
+                f"label {texts[j]!r} matches neither {positive_value!r} nor {texts[others[0]]!r}"
+            )
+    classes = np.full(ds.n_rows, -1)
+    classes[present] = positive[inverse]
+    return classes
+
+
 def _parse_cell(text: str, kind: str, column: str, line: int):
     text = text.strip()
+    if kind != CONTINUOUS:
+        return text
     if text == "":
-        return None
-    if kind == CONTINUOUS:
-        try:
-            value = float(text)
-        except ValueError:
-            raise FieldParseError(
-                f"line {line}: non-numeric value {text!r} in continuous column {column!r}"
-            ) from None
-        if not math.isfinite(value):
-            raise FieldParseError(
-                f"line {line}: non-finite value {text!r} in continuous column {column!r}"
-            )
-        return value
-    return text
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        raise FieldParseError(
+            f"line {line}: non-numeric value {text!r} in continuous column {column!r}"
+        ) from None
+    if not math.isfinite(value):
+        raise FieldParseError(
+            f"line {line}: non-finite value {text!r} in continuous column {column!r}"
+        )
+    return value
 
 
 def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
     """Read a CSV file, keeping only schema columns in schema order.
 
-    The header must contain every schema column; extra columns are ignored.
-    Empty fields become missing cells and continuous cells are parsed as
-    decimal numbers.  With `missing_label_ok`, a file without the label
-    column loads with every label cell missing (for prediction-only input).
+    The header must contain every schema column once; extra columns are
+    ignored.  Empty fields become missing cells and continuous cells are
+    parsed as decimal numbers.  With `missing_label_ok`, a file without the
+    label column loads with every label cell missing (for prediction-only input).
 
     Raises:
         MissingColumnError: a schema column is absent from the header.
+        SchemaMismatchError: a schema column appears twice in the header.
         RowArityError: a data row's field count differs from the header's.
-        FieldParseError: non-numeric or non-finite text in a continuous column.
+        FieldParseError: non-numeric or non-finite text in a continuous
+            column, or a NUL character anywhere in the file.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
+        if any("\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), "")):
+            raise FieldParseError(f"{path}: NUL character in file")
+        fh.seek(0)
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise EmptyInputError(f"{path}: empty file, header required") from None
         header = [h.strip() for h in header]
-        positions = {}
+        present = []
         for col in schema.columns:
-            try:
-                positions[col.name] = header.index(col.name)
-            except ValueError:
-                if missing_label_ok and col.kind == LABEL:
-                    positions[col.name] = None
-                    continue
-                raise MissingColumnError(
-                    f"{path}: column {col.name!r} not in header"
-                ) from None
-        rows = []
-        for line_no, fields in enumerate(reader, start=2):
+            if header.count(col.name) > 1:
+                raise SchemaMismatchError(f"{path}: column {col.name!r} appears twice in header")
+            if col.name in header:
+                present.append(col)
+            elif not (missing_label_ok and col.kind == LABEL):
+                raise MissingColumnError(f"{path}: column {col.name!r} not in header")
+        positions = [header.index(col.name) for col in present]
+        texts = {col.name: [] for col in present}
+        n_rows, fields = 0, header
+        for fields in reader:
             if len(fields) != len(header):
-                raise RowArityError(
-                    f"{path}: line {line_no} has {len(fields)} fields, header has {len(header)}"
-                )
-            rows.append(
-                tuple(
-                    None
-                    if positions[c.name] is None
-                    else _parse_cell(fields[positions[c.name]], c.kind, c.name, line_no)
-                    for c in schema.columns
-                )
+                break  # raised after the parse, which names any earlier bad cell first
+            n_rows += 1
+            for cells, p in zip(texts.values(), positions):
+                cells.append(fields[p])
+    try:
+        columns = [
+            _per_value(
+                np.array(texts.get(c.name, [""] * n_rows), dtype=np.str_),
+                lambda text, c=c: _parse_cell(text, c.kind, c.name, line=0),
+                np.float64 if c.kind == CONTINUOUS else np.str_,
             )
-    return Dataset(schema, tuple(rows))
+            for c in schema.columns
+        ]
+    except FieldParseError:
+        # Name the first bad cell in row order, as a row-by-row parse would.
+        for line_no, row in enumerate(zip(*texts.values()), start=2):
+            for col, text in zip(present, row):
+                _parse_cell(text, col.kind, col.name, line_no)
+        raise
+    if len(fields) != len(header):
+        raise RowArityError(
+            f"{path}: line {n_rows + 2} has {len(fields)} fields, header has {len(header)}"
+        )
+    return Dataset(schema, columns)
 
 
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset in the same CSV dialect that load_csv reads."""
+    cells = [_per_value(col, _format_cell, object) for col in ds.columns]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(ds.schema.names)
-        for row in ds.rows:
-            writer.writerow([_format_cell(c) for c in row])
+        writer.writerows(zip(*cells))
 
 
 def _format_cell(cell) -> str:
-    if cell is None:
+    if isinstance(cell, str):
+        return cell
+    if math.isnan(cell):
         return ""
-    if isinstance(cell, float):
-        if math.isfinite(cell) and cell == int(cell) and abs(cell) < 1e15:
-            return str(int(cell))
-        return repr(cell)
-    return str(cell)
+    if math.isfinite(cell) and cell == int(cell) and abs(cell) < 1e15:
+        return str(int(cell))
+    return repr(cell)
 
 
 def concat(parts: list[Dataset]) -> Dataset:
@@ -237,10 +301,7 @@ def concat(parts: list[Dataset]) -> Dataset:
     for p in parts[1:]:
         if p.schema != schema:
             raise SchemaMismatchError("datasets have differing schemas")
-    rows = []
-    for p in parts:
-        rows.extend(p.rows)
-    return Dataset(schema, tuple(rows))
+    return Dataset(schema, [np.concatenate(cols) for cols in zip(*(p.columns for p in parts))])
 
 
 def filter_equals(ds: Dataset, column: str, allowed) -> Dataset:
@@ -249,16 +310,11 @@ def filter_equals(ds: Dataset, column: str, allowed) -> Dataset:
     Matching is on exact text after trimming whitespace; missing cells never
     match.  Order and schema are preserved.
     """
-    idx = ds.schema.index_of(column)
+    col = ds.column(column)
     allowed = {str(v).strip() for v in allowed}
-    kept = tuple(r for r in ds.rows if r[idx] is not None and _cell_text(r[idx]) in allowed)
-    return Dataset(ds.schema, kept)
-
-
-def _cell_text(cell) -> str:
-    if isinstance(cell, float):
-        return _format_cell(cell)
-    return str(cell).strip()
+    keep = _per_value(col, lambda cell: _format_cell(cell).strip() in allowed, bool)
+    keep &= ~ds.missing(column)
+    return Dataset(ds.schema, [c[keep] for c in ds.columns])
 
 
 def drop_columns(ds: Dataset, names) -> Dataset:
@@ -273,42 +329,20 @@ def drop_columns(ds: Dataset, names) -> Dataset:
     schema = Schema(
         tuple(ds.schema.columns[i] for i in keep), ds.schema.positive_label_value
     )
-    rows = tuple(tuple(r[i] for i in keep) for r in ds.rows)
-    return Dataset(schema, rows)
+    return Dataset(schema, [ds.columns[i] for i in keep])
 
 
 def drop_missing_labels(ds: Dataset) -> Dataset:
     """Remove rows whose label cell is missing."""
-    li = ds.schema.label_index
-    return Dataset(ds.schema, tuple(r for r in ds.rows if r[li] is not None))
+    keep = ~ds.missing(ds.schema.label_name)
+    return Dataset(ds.schema, [c[keep] for c in ds.columns])
 
 
 def class_balance(ds: Dataset) -> ClassBalance:
-    """Count rows per class by comparing label cells to the positive value.
-
-    The negative class value is inferred from the first non-positive label
-    seen; any later non-missing label matching neither class value raises
-    UnrecognizedLabelValueError.
-    """
-    li = ds.schema.label_index
-    pos_value = ds.schema.positive_label_value
-    neg_value = None
-    positives = negatives = missing = 0
-    for r in ds.rows:
-        cell = r[li]
-        if cell is None:
-            missing += 1
-            continue
-        text = _cell_text(cell)
-        if label_values_equal(text, pos_value):
-            positives += 1
-        elif neg_value is None or label_values_equal(text, neg_value):
-            neg_value = text if neg_value is None else neg_value
-            negatives += 1
-        else:
-            raise UnrecognizedLabelValueError(
-                f"label {text!r} matches neither {pos_value!r} nor {neg_value!r}"
-            )
+    """Count rows per class as label_classes resolves them with the schema's positive value."""
+    missing, negatives, positives = np.bincount(
+        label_classes(ds, ds.schema.positive_label_value) + 1, minlength=3
+    ).tolist()
     return ClassBalance(negatives=negatives, positives=positives, missing=missing)
 
 
@@ -382,23 +416,21 @@ def generate_synthetic(
         raise InvalidSpecError("positive fraction must be in (0, 1)")
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    columns: list[list] = []
+    columns: list[np.ndarray] = []
     dep_hours = arr_hours = None
     for f in features:
         if f.kind == CATEGORICAL:
-            draws = rng.integers(0, len(f.values), size=n_rows)
-            columns.append([f.values[i] for i in draws])
+            columns.append(np.array(f.values)[rng.integers(0, len(f.values), size=n_rows)])
         elif f.hhmm:
             hours = rng.uniform(0.0, 24.0, size=n_rows)
-            hhmm = (np.floor(hours).astype(int) * 100
-                    + np.floor((hours % 1.0) * 60).astype(int))
-            columns.append([float(v) for v in hhmm])
+            columns.append(np.floor(hours).astype(int) * 100
+                           + np.floor((hours % 1.0) * 60).astype(int))
             if dep_hours is None:
                 dep_hours = hours
             else:
                 arr_hours = hours
         else:
-            columns.append([float(v) for v in rng.uniform(f.low, f.high, size=n_rows)])
+            columns.append(rng.uniform(f.low, f.high, size=n_rows))
 
     if dep_hours is None:
         raise InvalidSpecError("feature spec must include at least one time column")
@@ -413,11 +445,7 @@ def generate_synthetic(
     )
     n_pos = int(round(positive_fraction * n_rows))
     order = np.argsort(risk, kind="stable")
-    labels = [SYNTHETIC_NEGATIVE_VALUE] * n_rows
-    for i in order[n_rows - n_pos:]:
-        labels[i] = SYNTHETIC_POSITIVE_VALUE
+    labels = np.full(n_rows, SYNTHETIC_NEGATIVE_VALUE)
+    labels[order[n_rows - n_pos:]] = SYNTHETIC_POSITIVE_VALUE
     columns.append(labels)
-
-    schema = synthetic_schema(features)
-    rows = tuple(tuple(col[i] for col in columns) for i in range(n_rows))
-    return Dataset(schema, rows)
+    return Dataset(synthetic_schema(features), columns)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, CONTINUOUS, Column, Dataset, label_values_equal
+from .dataset import CATEGORICAL, CONTINUOUS, Column, Dataset, label_classes
 from .errors import (
     DataError,
     MissingCellError,
@@ -77,9 +77,12 @@ class EncodingPlan:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "EncodingPlan":
+        categories = {k: tuple(v) for k, v in doc["categories"].items()}
+        if any(list(v) != sorted(set(v)) for v in categories.values()):
+            raise ValueError("plan categories must be sorted and distinct")
         return cls(
             feature_columns=tuple(Column(n, k) for n, k in doc["feature_columns"]),
-            categories={k: tuple(v) for k, v in doc["categories"].items()},
+            categories=categories,
             one_hot=frozenset(doc["one_hot"]),
             label_name=doc["label_name"],
             positive_label_value=doc["positive_label_value"],
@@ -144,15 +147,10 @@ def fit_encoding(ds: Dataset, one_hot=DEFAULT_ONE_HOT) -> EncodingPlan:
             raise NotCategoricalError(f"column {name!r} is {col.kind}, not categorical")
 
     categories = {}
-    for i, col in enumerate(ds.schema.columns):
-        if col.kind != CATEGORICAL:
-            continue
-        seen = set()
-        for r, row in enumerate(ds.rows):
-            if row[i] is None:
-                raise MissingCellError(f"row {r}: missing value in column {col.name!r}")
-            seen.add(str(row[i]))
-        categories[col.name] = tuple(sorted(seen))
+    for col in feature_cols:
+        if col.kind == CATEGORICAL:
+            _require_present(ds, col.name)
+            categories[col.name] = tuple(np.unique(ds.column(col.name)).tolist())
 
     return EncodingPlan(
         feature_columns=feature_cols,
@@ -170,56 +168,55 @@ def apply_encoding(ds: Dataset, plan: EncodingPlan, training: bool = True) -> Fe
     label must be present.  In prediction mode an unseen value yields an
     all-zero one-hot group (or code -1 for integer-coded columns) and bumps
     the matrix's `unseen_categories` counter; missing labels count in
-    `missing_labels` and encode as 0.
+    `missing_labels` and encode as 0.  In both modes a third label value
+    raises UnrecognizedLabelValueError (see `dataset.label_classes`).
     """
-    n = ds.n_rows
-    blocks = [np.empty((n, 0))]  # keeps the join defined for a label-only plan
+    blocks = [np.empty((ds.n_rows, 0))]  # keeps the join defined for a label-only plan
     unseen = 0
     for col in plan.feature_columns:
-        i = ds.schema.index_of(col.name)
-        cells = [row[i] for row in ds.rows]
-        if None in cells:
-            r = cells.index(None)
-            raise MissingCellError(f"row {r}: missing value in column {col.name!r}")
+        _require_present(ds, col.name)
+        cells = ds.column(col.name)
         if col.kind == CONTINUOUS:
-            blocks.append(np.array(cells, dtype=np.float64).reshape(n, 1))
+            blocks.append(cells[:, None])
             continue
-        cats = plan.categories[col.name]
-        lookup = {v: j for j, v in enumerate(cats)}
-        codes = np.array([lookup.get(str(c), -1) for c in cells], dtype=np.int64)
-        misses = np.flatnonzero(codes < 0)
-        if misses.size:
+        cats = np.array(plan.categories[col.name], dtype=np.str_)
+        codes = np.searchsorted(cats, cells)
+        found = codes < cats.size
+        found[found] = cats[codes[found]] == cells[found]
+        if not found.all():
             if training:
                 raise UnseenCategoryError(
-                    f"value {str(cells[misses[0]])!r} in column {col.name!r} not in plan"
+                    f"value {str(cells[np.argmin(found)])!r} in column {col.name!r} not in plan"
                 )
-            unseen += misses.size
+            unseen += int(np.count_nonzero(~found))
+        codes[~found] = -1
         if col.name in plan.one_hot:
-            blocks.append(codes[:, None] == np.arange(len(cats)))
+            blocks.append(codes[:, None] == np.arange(cats.size))
         else:
             blocks.append(codes[:, None])
     values = np.concatenate(blocks, axis=1, dtype=np.float64)
 
-    labels = np.zeros(n, dtype=np.int64)
-    li = ds.schema.label_index
-    missing_labels = 0
-    for r, row in enumerate(ds.rows):
-        cell = row[li]
-        if cell is None:
-            if training:
-                raise MissingCellError(f"row {r}: missing label (drop missing labels first)")
-            missing_labels += 1
-        elif label_values_equal(str(cell), plan.positive_label_value):
-            labels[r] = 1
+    classes = label_classes(ds, plan.positive_label_value)
+    missing = classes < 0
+    if training and missing.any():
+        raise MissingCellError(
+            f"row {np.argmax(missing)}: missing label (drop missing labels first)"
+        )
 
     return FeatureMatrix(
         values=values,
-        labels=labels,
+        labels=classes == 1,
         column_names=plan.output_names,
         plan=plan,
         unseen_categories=unseen,
-        missing_labels=missing_labels,
+        missing_labels=int(np.count_nonzero(missing)),
     )
+
+
+def _require_present(ds: Dataset, name: str) -> None:
+    missing = ds.missing(name)
+    if missing.any():
+        raise MissingCellError(f"row {np.argmax(missing)}: missing value in column {name!r}")
 
 
 @dataclass(frozen=True)

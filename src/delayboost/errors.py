@@ -28,11 +28,11 @@ class RowArityError(DataError):
 
 
 class FieldParseError(DataError):
-    """Non-numeric text found in a continuous column."""
+    """Non-numeric text in a continuous column, or a NUL character in a CSV file."""
 
 
 class SchemaMismatchError(DataError):
-    """Datasets being combined do not share an identical schema."""
+    """Datasets being combined differ in schema, or a header repeats a schema column."""
 
 
 class EmptyInputError(DataError):

@@ -207,6 +207,18 @@ class TestExitCodes:
         assert code == 4
         assert "error:" in capsys.readouterr().err
 
+    def test_third_label_value_is_3(self, workspace, capsys):
+        assert run(*train_args(workspace)) == 0
+        data = (workspace / "data.csv").read_text().splitlines()
+        data[-1] = data[-1].rsplit(",", 1)[0] + ",2.00"
+        (workspace / "three.csv").write_text("\n".join(data) + "\n")
+        assert run(*train_args(workspace, **{"--input": workspace / "three.csv"})) == 3
+        assert run(
+            "evaluate", "--model", workspace / "model.json",
+            "--input", workspace / "three.csv",
+        ) == 3
+        assert capsys.readouterr().err.count("'2.00' matches neither") == 2
+
     def test_corrupt_model_is_3(self, workspace, capsys):
         (workspace / "bad.json").write_text("{not json")
         code = run(

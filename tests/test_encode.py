@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_matrix
 from delayboost.dataset import CATEGORICAL, CONTINUOUS, LABEL, Column, Dataset, Schema
@@ -18,6 +20,7 @@ from delayboost.errors import (
     NotCategoricalError,
     TooFewRowsError,
     UnknownColumnError,
+    UnrecognizedLabelValueError,
     UnseenCategoryError,
 )
 
@@ -33,7 +36,7 @@ SCHEMA = Schema(
 
 
 def flights(*rows) -> Dataset:
-    return Dataset(SCHEMA, tuple(rows))
+    return Dataset(SCHEMA, tuple(zip(*rows)))
 
 
 BASE = flights(
@@ -77,6 +80,13 @@ class TestFitEncoding:
     def test_plan_doc_round_trip(self):
         plan = fit_encoding(BASE, one_hot=("airport",))
         assert EncodingPlan.from_doc(plan.to_doc()) == plan
+
+    @pytest.mark.parametrize("cats", [["b", "a", "c"], ["a", "a", "b", "c"]])
+    def test_plan_doc_categories_must_be_sorted_and_distinct(self, cats):
+        doc = fit_encoding(BASE, one_hot=()).to_doc()
+        doc["categories"]["airport"] = cats
+        with pytest.raises(ValueError):
+            EncodingPlan.from_doc(doc)
 
 
 class TestApplyEncoding:
@@ -138,11 +148,61 @@ class TestApplyEncoding:
         fm = apply_encoding(ds, plan, training=False)
         assert fm.missing_labels == 1
 
+    @pytest.mark.parametrize("training", [True, False])
+    def test_third_label_value(self, training):
+        ds = flights(("a", "AA", 1.0, "0"), ("b", "AA", 2.0, "1"), ("c", "UA", 3.0, "2"))
+        plan = fit_encoding(BASE, one_hot=())
+        with pytest.raises(UnrecognizedLabelValueError):
+            apply_encoding(ds, plan, training=training)
+
     def test_matrix_immutable(self):
         plan = fit_encoding(BASE, one_hot=())
         fm = apply_encoding(BASE, plan)
         with pytest.raises(ValueError):
             fm.values[0, 0] = 99.0
+
+
+def reference_encoding(fit_rows, rows, one_hot, training):
+    """Row-by-row oracle for fit_encoding followed by apply_encoding on SCHEMA."""
+    categories = [sorted({r[j] for r in fit_rows}) for j in (0, 1)]
+    values, labels, unseen = [], [], 0
+    for r in rows:
+        out = []
+        for j, (name, cats) in enumerate(zip(("airport", "carrier"), categories)):
+            code = cats.index(r[j]) if r[j] in cats else -1
+            if code < 0:
+                if training:
+                    raise UnseenCategoryError(r[j])
+                unseen += 1
+            out += [float(code == k) for k in range(len(cats))] if name in one_hot else [code]
+        values.append(out + [r[2]])
+        labels.append(int(float(r[3]) == 1.0))
+    return categories, values, labels, unseen
+
+
+_CATEGORY = st.sampled_from(["a", "b", "B", "10", "2", "a b", "\u00e9", "\u65e5", "zz"])
+_LABEL = st.sampled_from(["0", "0.00", "1", "1.00"])
+_ROW = st.tuples(_CATEGORY, _CATEGORY, st.floats(-1e6, 1e6), _LABEL)
+
+
+class TestReferenceProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(_ROW, min_size=1, max_size=10), st.lists(_ROW, min_size=1, max_size=10),
+           st.sets(st.sampled_from(["airport", "carrier"])), st.booleans())
+    def test_matches_row_by_row_reference(self, fit_rows, rows, one_hot, training):
+        plan = fit_encoding(flights(*fit_rows), one_hot=tuple(one_hot))
+        try:
+            expected = reference_encoding(fit_rows, rows, one_hot, training)
+        except UnseenCategoryError:
+            with pytest.raises(UnseenCategoryError):
+                apply_encoding(flights(*rows), plan, training=training)
+            return
+        categories, values, labels, unseen = expected
+        fm = apply_encoding(flights(*rows), plan, training=training)
+        assert [list(plan.categories[n]) for n in ("airport", "carrier")] == categories
+        assert fm.values.tolist() == values
+        assert fm.labels.tolist() == labels
+        assert fm.unseen_categories == unseen
 
 
 class TestPearson:
