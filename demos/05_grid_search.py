@@ -33,7 +33,7 @@ model, trace = db.fit_gbc(
                    tree_params=db.TreeParams(max_depth=depth)),
 )
 scores = db.decision_function(model, pair.validation.values)
-pred = (scores >= 0).astype(int)
+pred = db.label_scores(scores)
 summary = db.summarize(db.confusion(pair.validation.labels, pred))
 print(f"refit best ({estimators}, {depth}): "
       f"validation accuracy {summary.accuracy:.4f}")

@@ -27,7 +27,7 @@ for strategy, percent in ((1, 0), (2, 200)):
     model, trace = db.fit_gbc(pair.train, params)
 
     scores = db.decision_function(model, pair.validation.values)
-    pred = (scores >= 0).astype(int)
+    pred = db.label_scores(scores)
     summary = db.summarize(db.confusion(pair.validation.labels, pred))
     roc = db.roc_auc(pair.validation.labels, scores)
     results[strategy] = (trace.accuracy[-1], summary, roc)

@@ -12,6 +12,7 @@ from .boost import (
     TrainingTrace,
     decision_function,
     fit_gbc,
+    label_scores,
     predict_label,
     predict_proba,
     sigmoid,
@@ -44,7 +45,7 @@ from .encode import (
 from .metrics import ConfusionMatrix, MetricsSummary, RocCurve, confusion, roc_auc, summarize
 from .model_io import load_model, save_model
 from .resample import SmoteConfig, SmoteTrace, random_smote, random_smote_with_trace
-from .tree import RegressionTree, TreeParams, fit_tree, predict_tree
+from .tree import RegressionTree, TreeParams, fit_tree
 from .tune import DEFAULT_GRID, Grid, GridResult, grid_search, stratified_folds
 
 __version__ = "0.1.0"
@@ -84,12 +85,12 @@ __all__ = [
     "fit_tree",
     "generate_synthetic",
     "grid_search",
+    "label_scores",
     "load_csv",
     "load_model",
     "pearson_matrix",
     "predict_label",
     "predict_proba",
-    "predict_tree",
     "random_smote",
     "random_smote_with_trace",
     "roc_auc",

@@ -14,8 +14,10 @@ already include the line-search step and prediction only applies shrinkage:
 
     f_M(x) = f0 + learning_rate * sum_m tree_m(x).
 
-The raw score's sign tells which side of the 0.5-probability boundary a row
-falls on; sigmoid(f_M(x)) is the delay probability.
+sigmoid(f_M(x)) is the delay probability.  Scoring takes an (n, n_features)
+matrix only; a single row is a (1, n_features) matrix.  Every label in the
+package comes from one rule, `label_scores`: 1 iff sigmoid(score) >= the
+threshold, which must lie in (0, 1).
 """
 
 from __future__ import annotations
@@ -26,13 +28,12 @@ import numpy as np
 
 from .encode import EncodingPlan, FeatureMatrix
 from .errors import (
-    DimensionMismatchError,
     EmptyInputError,
     InvalidThresholdError,
     NonFiniteFeatureError,
     SingleClassTrainingError,
 )
-from .tree import RegressionTree, TreeParams, fit_tree
+from .tree import RegressionTree, TreeParams, _check_matrix, fit_tree
 
 _NEWTON_GUARD = 1e-12
 
@@ -134,44 +135,47 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
 
 
 def _accuracy(y, f) -> float:
-    return float(np.mean((f >= 0.0).astype(np.int64) == y))
+    return float(np.mean(label_scores(f) == y))
 
 
-def decision_function(model: BoostedModel, x):
-    """Raw additive score f_M(x); scalar for a single row, array for a matrix.
+def label_scores(scores, threshold: float = 0.5) -> np.ndarray:
+    """The labelling rule: 1 iff sigmoid(score) >= threshold, else 0.
+
+    Raises:
+        InvalidThresholdError: threshold outside the open interval (0, 1).
+    """
+    if not 0.0 < threshold < 1.0:
+        raise InvalidThresholdError(f"threshold must be in (0, 1), got {threshold}")
+    return (sigmoid(scores) >= threshold).astype(np.int64)
+
+
+def decision_function(model: BoostedModel, x) -> np.ndarray:
+    """Raw additive score f_M(x) for every row of the (n, n_features) matrix x.
 
     Positive means the predicted delay probability exceeds 0.5.
     """
-    X, single = _as_rows(x, model.n_features)
+    X = _check_matrix(x, model.n_features)
     scores = np.full(X.shape[0], model.f0)
     for tree in model.trees:
         scores += model.learning_rate * tree.predict(X)
-    return float(scores[0]) if single else scores
+    return scores
 
 
-def predict_proba(model: BoostedModel, x):
-    """Probability of the positive (delayed) class."""
-    scores = decision_function(model, x)
-    if np.isscalar(scores):
-        return float(sigmoid(np.array([scores]))[0])
-    return sigmoid(scores)
+def predict_proba(model: BoostedModel, x) -> np.ndarray:
+    """Probability of the positive (delayed) class for every row of x."""
+    return sigmoid(decision_function(model, x))
 
 
-def predict_label(model: BoostedModel, x, threshold: float = 0.5):
-    """1 iff the predicted probability is >= threshold."""
-    if not 0.0 < threshold < 1.0:
-        raise InvalidThresholdError(f"threshold must be in (0, 1), got {threshold}")
-    proba = predict_proba(model, x)
-    if np.isscalar(proba):
-        return int(proba >= threshold)
-    return (proba >= threshold).astype(np.int64)
+def predict_label(model: BoostedModel, x, threshold: float = 0.5) -> np.ndarray:
+    """`label_scores` of every row of x."""
+    return label_scores(decision_function(model, x), threshold)
 
 
 def staged_deviance(model: BoostedModel, fm: FeatureMatrix) -> np.ndarray:
     """Mean deviance on fm using the first m trees, for m = 0..M."""
     if fm.n_rows == 0:
         raise EmptyInputError("staged deviance needs at least one row")
-    X, _ = _as_rows(fm.values, model.n_features)
+    X = _check_matrix(fm.values, model.n_features)
     y = fm.labels
     f = np.full(X.shape[0], model.f0)
     out = [mean_deviance(y, f)]
@@ -179,15 +183,3 @@ def staged_deviance(model: BoostedModel, fm: FeatureMatrix) -> np.ndarray:
         f += model.learning_rate * tree.predict(X)
         out.append(mean_deviance(y, f))
     return np.asarray(out)
-
-
-def _as_rows(x, n_features: int):
-    X = np.asarray(x, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X.reshape(1, -1)
-    if X.ndim != 2 or X.shape[1] != n_features:
-        raise DimensionMismatchError(
-            f"expected {n_features} features, got shape {X.shape}"
-        )
-    return X, single

@@ -15,20 +15,23 @@ so reruns with one seed reproduce every stage byte for byte.  --threads caps
 internal parallelism; the implementation runs the deterministic sequential
 schedule regardless, so outputs never depend on it.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric or training
-error.
+Reports and predictions label a row by `boost.label_scores` at --threshold
+(0.5 for train); a report's AUROC and --roc-out curve share one ROC sweep.
+
+Exit codes: 0 success, 2 usage error (also a --threshold outside (0, 1)),
+3 data error (also a malformed schema file), 4 numeric or training error.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import boost, dataset, encode, metrics, model_io, resample, tune
-from .errors import DataError, DelayBoostError, TrainingError
+from .errors import DataError, DelayBoostError, InvalidThresholdError, TrainingError
 
 SMOTE_STAGE = 1
 SPLIT_STAGE = 2
@@ -79,6 +82,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "threads", 1) < 1:
         print("error: --threads must be >= 1", file=sys.stderr)
+        return 2
+    try:
+        boost.label_scores((), getattr(args, "threshold", 0.5))  # checks --threshold
+    except InvalidThresholdError as exc:
+        print(f"error: --{exc}", file=sys.stderr)
         return 2
     try:
         args.func(args)
@@ -284,7 +292,7 @@ def cmd_train(args):
         metadata["timestamp"] = args.timestamp
     model_io.save_model(model, args.model_out, metadata)
 
-    doc = _evaluation_doc(
+    doc, roc = _evaluation_doc(
         model,
         split.validation,
         threshold=0.5,
@@ -295,9 +303,7 @@ def cmd_train(args):
             "training_accuracy": trace.accuracy[-1],
         },
     )
-    _emit_report(doc, args.report_out)
-    if args.roc_out:
-        _write_roc(model, split.validation, args.roc_out)
+    _emit_report(doc, roc, args)
 
 
 def cmd_tune(args):
@@ -322,7 +328,7 @@ def cmd_evaluate(args):
     model, metadata = model_io.load_model(args.model)
     ds, fm = _load_with_plan(args.input, model, missing_label_ok=False)
     skipped = ds.n_rows - fm.n_rows if fm.n_rows != ds.n_rows else 0
-    doc = _evaluation_doc(
+    doc, roc = _evaluation_doc(
         model,
         fm,
         threshold=args.threshold,
@@ -333,19 +339,15 @@ def cmd_evaluate(args):
         doc["rows_skipped_missing_label"] = skipped
     if fm.unseen_categories:
         doc["unseen_category_cells"] = fm.unseen_categories
-    _emit_report(doc, args.report_out)
-    if args.roc_out:
-        _write_roc(model, fm, args.roc_out)
+    _emit_report(doc, roc, args)
 
 
 def cmd_predict(args):
     model, _ = model_io.load_model(args.model)
-    if not 0.0 < args.threshold < 1.0:
-        raise DataError(f"threshold must be in (0, 1), got {args.threshold}")
     _, fm = _load_with_plan(args.input, model, missing_label_ok=True, drop_unlabelled=False)
     scores = boost.decision_function(model, fm.values)
     probas = boost.sigmoid(scores)
-    labels = (probas >= args.threshold).astype(int)
+    labels = boost.label_scores(scores, args.threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("predicted_label,probability,decision_score\n")
         for lab, p, s in zip(labels, probas, scores):
@@ -416,8 +418,9 @@ def _load_with_plan(path, model, missing_label_ok: bool, drop_unlabelled: bool =
 
 
 def _evaluation_doc(model, fm, threshold, strategy, extra):
+    """The report document for the rows of fm, and their ROC curve."""
     scores = boost.decision_function(model, fm.values)
-    pred = (boost.sigmoid(scores) >= threshold).astype(int)
+    pred = boost.label_scores(scores, threshold)
     summary = metrics.summarize(metrics.confusion(fm.labels, pred))
     roc = metrics.roc_auc(fm.labels, scores)
     doc = {"strategy": strategy}
@@ -432,30 +435,21 @@ def _evaluation_doc(model, fm, threshold, strategy, extra):
             "weighted_precision": summary.weighted_precision,
             "weighted_f1": summary.weighted_f1,
             "auroc": roc.auroc,
-            "confusion": {
-                "tp": summary.confusion.tp,
-                "fn": summary.confusion.fn,
-                "fp": summary.confusion.fp,
-                "tn": summary.confusion.tn,
-            },
+            "confusion": asdict(summary.confusion),
         }
     )
     if summary.degenerate:
         doc["degenerate_metrics"] = list(summary.degenerate)
-    return doc
+    return doc, roc
 
 
-def _emit_report(doc, report_out):
+def _emit_report(doc, roc, args):
     print(metrics.render_report(doc), end="")
-    if report_out:
-        _write_json(doc, report_out)
-
-
-def _write_roc(model, fm, path):
-    scores = boost.decision_function(model, fm.values)
-    curve = metrics.roc_auc(fm.labels, scores)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(curve.to_csv())
+    if args.report_out:
+        _write_json(doc, args.report_out)
+    if args.roc_out:
+        with open(args.roc_out, "w", encoding="utf-8") as fh:
+            fh.write(roc.to_csv())
 
 
 def _write_json(doc, path):

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     CannotDropLabelError,
+    DataError,
     EmptyInputError,
     FieldParseError,
     InvalidSpecError,
@@ -89,9 +90,13 @@ class Schema:
 
     @classmethod
     def from_json(cls, text: str) -> "Schema":
-        doc = json.loads(text)
-        cols = tuple(Column(c["name"], c["kind"]) for c in doc["columns"])
-        return cls(cols, doc["positive_label_value"])
+        """Parse a schema document; DataError if it is not JSON or not a valid schema."""
+        try:
+            doc = json.loads(text)
+            cols = tuple(Column(c["name"], c["kind"]) for c in doc["columns"])
+            return cls(cols, doc["positive_label_value"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"malformed schema: {exc!r}") from None
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,8 @@ ROC curves sweep thresholds over the distinct raw decision-function scores
 from high to low, predicting positive where score >= threshold; tied scores
 collapse to a single point.  The area uses the trapezoidal rule, which on
 this staircase equals the probability that a random positive outscores a
-random negative, ties counted one half.
+random negative, ties counted one half.  A `RocCurve` holds the staircase
+as read-only `fpr`, `tpr` and `thresholds` arrays, one entry per point.
 """
 
 from __future__ import annotations
@@ -51,16 +52,19 @@ class MetricsSummary:
     degenerate: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocCurve:
     """Staircase points sorted by fpr, from (0, 0) at threshold +inf to (1, 1)."""
 
-    points: tuple[tuple[float, float, float], ...]  # (fpr, tpr, threshold)
+    fpr: np.ndarray
+    tpr: np.ndarray
+    thresholds: np.ndarray
     auroc: float
 
     def to_csv(self) -> str:
+        points = zip(self.thresholds.tolist(), self.fpr.tolist(), self.tpr.tolist())
         lines = ["threshold,fpr,tpr"]
-        lines.extend(f"{thr!r},{fpr!r},{tpr!r}" for fpr, tpr, thr in self.points)
+        lines.extend(f"{thr!r},{fpr!r},{tpr!r}" for thr, fpr, tpr in points)
         return "\n".join(lines) + "\n"
 
 
@@ -80,12 +84,12 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
     )
 
 
-def summarize(cm: ConfusionMatrix, support_weighted: bool = True) -> MetricsSummary:
+def summarize(cm: ConfusionMatrix) -> MetricsSummary:
     """Scalar metrics from a confusion matrix.
 
-    Positive-class recall/precision/F1 always; support-weighted versions when
-    `support_weighted` (they average the per-class metrics weighted by class
-    frequency, which makes weighted recall coincide with accuracy).
+    Positive-class recall/precision/F1, and their support-weighted versions,
+    which average the per-class metrics weighted by class frequency (so
+    weighted recall coincides with accuracy).
     """
     degenerate = []
 
@@ -101,16 +105,13 @@ def summarize(cm: ConfusionMatrix, support_weighted: bool = True) -> MetricsSumm
     precision_pos = ratio(cm.tp, cm.tp + cm.fp, "precision")
     f1_pos = _f1(precision_pos, recall_pos, "f1", degenerate)
 
-    if support_weighted:
-        recall_neg = ratio(cm.tn, cm.tn + cm.fp, "negative_recall")
-        precision_neg = ratio(cm.tn, cm.tn + cm.fn, "negative_precision")
-        f1_neg = _f1(precision_neg, recall_neg, "negative_f1", degenerate)
-        pos_n, neg_n = cm.tp + cm.fn, cm.tn + cm.fp
-        weighted_recall = (pos_n * recall_pos + neg_n * recall_neg) / n
-        weighted_precision = (pos_n * precision_pos + neg_n * precision_neg) / n
-        weighted_f1 = (pos_n * f1_pos + neg_n * f1_neg) / n
-    else:
-        weighted_recall = weighted_precision = weighted_f1 = 0.0
+    recall_neg = ratio(cm.tn, cm.tn + cm.fp, "negative_recall")
+    precision_neg = ratio(cm.tn, cm.tn + cm.fn, "negative_precision")
+    f1_neg = _f1(precision_neg, recall_neg, "negative_f1", degenerate)
+    pos_n, neg_n = cm.tp + cm.fn, cm.tn + cm.fp
+    weighted_recall = (pos_n * recall_pos + neg_n * recall_neg) / n
+    weighted_precision = (pos_n * precision_pos + neg_n * precision_neg) / n
+    weighted_f1 = (pos_n * f1_pos + neg_n * f1_neg) / n
 
     return MetricsSummary(
         accuracy=accuracy,
@@ -189,8 +190,6 @@ def roc_auc(y_true, scores) -> RocCurve:
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
     fpr = np.concatenate([[0.0], cum_fp / n_neg])
     thresholds = np.concatenate([[math.inf], s_sorted[last]])
-    auroc = float(np.trapezoid(tpr, fpr))
-    points = tuple(
-        (float(x), float(t), float(thr)) for x, t, thr in zip(fpr, tpr, thresholds)
-    )
-    return RocCurve(points=points, auroc=auroc)
+    for a in (fpr, tpr, thresholds):
+        a.flags.writeable = False
+    return RocCurve(fpr, tpr, thresholds, auroc=float(np.trapezoid(tpr, fpr)))

@@ -164,12 +164,6 @@ def fit_tree(X: np.ndarray, targets: np.ndarray, params: TreeParams) -> Regressi
     )
 
 
-def predict_tree(tree: RegressionTree, x) -> float:
-    """Route a single row to its leaf and return the leaf value."""
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    return float(tree.predict(x)[0])
-
-
 class _Builder:
     """Recursive growth into flat node arrays."""
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boost import BoostParams, decision_function, fit_gbc
+from .boost import BoostParams, decision_function, fit_gbc, label_scores
 from .encode import FeatureMatrix
 from .errors import ClassTooSmallForFoldsError, DataError, EmptyGridError
 from .metrics import confusion, summarize
@@ -135,8 +135,8 @@ def grid_search(
 ) -> GridResult:
     """Cross-validate every (estimators, depth) combination on shared folds.
 
-    `metric` is "accuracy" or "f1" (positive class), evaluated on each
-    held-out fold at the 0.5 probability threshold.
+    `metric` is "accuracy" or "f1" (positive class), read off `summarize` for
+    each held-out fold labelled by `label_scores` at its 0.5 threshold.
     """
     if metric not in ("accuracy", "f1"):
         raise DataError(f"unknown metric {metric!r}")
@@ -158,11 +158,9 @@ def grid_search(
                 train_idx = np.setdiff1d(all_rows, val_idx)
                 model, _ = fit_gbc(train.take(train_idx), params)
                 held_out = train.take(val_idx)
-                pred = (decision_function(model, held_out.values) >= 0.0).astype(int)
-                if metric == "accuracy":
-                    scores.append(float(np.mean(pred == held_out.labels)))
-                else:
-                    scores.append(summarize(confusion(held_out.labels, pred)).f1)
+                pred = label_scores(decision_function(model, held_out.values))
+                summary = summarize(confusion(held_out.labels, pred))
+                scores.append(getattr(summary, metric))
             cell = CellScore(estimators, depth, tuple(scores))
             cells.append(cell)
             if cell.mean_score > best_mean:

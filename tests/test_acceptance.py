@@ -197,7 +197,7 @@ def test_criterion_08_auroc_oracle():
     assert db.roc_auc([0, 0, 1, 1], [1.0, 2.0, 3.0, 4.0]).auroc == 1.0
     constant = db.roc_auc([0, 1, 0, 1], [5.0] * 4)
     assert constant.auroc == 0.5
-    assert [(p[0], p[1]) for p in constant.points] == [(0.0, 0.0), (1.0, 1.0)]
+    assert list(zip(constant.fpr, constant.tpr)) == [(0.0, 0.0), (1.0, 1.0)]
     ok(8, "trapezoidal AUROC equals pairwise concordance on 100 score sets (1e-12)")
 
 

@@ -8,6 +8,7 @@ from delayboost.boost import (
     BoostParams,
     decision_function,
     fit_gbc,
+    label_scores,
     mean_deviance,
     predict_label,
     predict_proba,
@@ -64,7 +65,7 @@ class TestPrior:
         y = np.array([1, 0, 0, 0] * 5)
         fm = make_matrix(np.zeros((20, 1)), y)
         model, _ = fit_gbc(fm, quick_params(estimators=0))
-        proba = float(predict_proba(model, np.zeros(1)))
+        proba = float(predict_proba(model, np.zeros((1, 1)))[0])
         assert abs(proba - 0.25) <= np.spacing(0.25)
         assert np.mean(predict_proba(model, fm.values)) == pytest.approx(0.25, abs=1e-15)
 
@@ -95,16 +96,14 @@ class TestScores:
         assert float(sigmoid(np.array([-1000.0]))[0]) == pytest.approx(0.0, abs=1e-300)
         assert np.isfinite(sigmoid(np.array([1e3, -1e3]))).all()
 
-    def test_single_row_scalar(self, separable):
-        model, _ = fit_gbc(separable, quick_params(estimators=5))
-        score = decision_function(model, separable.values[0])
-        assert isinstance(score, float)
-        assert isinstance(predict_proba(model, separable.values[0]), float)
-
     def test_dimension_mismatch(self, separable):
         model, _ = fit_gbc(separable, quick_params(estimators=2))
         with pytest.raises(DimensionMismatchError):
             decision_function(model, np.zeros(5))
+        # scoring takes a matrix only: one row is (1, d), never (d,)
+        with pytest.raises(DimensionMismatchError):
+            predict_proba(model, separable.values[0])
+        assert predict_proba(model, separable.values[:1]).shape == (1,)
 
 
 class TestPredictLabel:
@@ -112,15 +111,26 @@ class TestPredictLabel:
         fm = balanced_matrix()
         model, _ = fit_gbc(fm, quick_params(estimators=0))
         # prior-only model emits 0.5 everywhere: >= rule gives 1
-        assert predict_label(model, fm.values[0], threshold=0.5) == 1
-        assert predict_label(model, fm.values[0], threshold=0.6) == 0
+        assert predict_label(model, fm.values[:1], threshold=0.5).tolist() == [1]
+        assert predict_label(model, fm.values[:1], threshold=0.6).tolist() == [0]
 
     def test_invalid_threshold(self):
         fm = balanced_matrix()
         model, _ = fit_gbc(fm, quick_params(estimators=0))
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(InvalidThresholdError):
-                predict_label(model, fm.values[0], threshold=bad)
+                predict_label(model, fm.values[:1], threshold=bad)
+            with pytest.raises(InvalidThresholdError):
+                label_scores(np.zeros(3), threshold=bad)
+
+    def test_label_scores_is_sigmoid_rule(self):
+        # sigmoid: -3 -> 0.047, 0.4 -> 0.599, 2 -> 0.881; -1e-300 rounds to 0.5
+        scores = np.array([-3.0, -1e-300, 0.0, 0.4, 2.0])
+        expected = {0.1: [0, 1, 1, 1, 1], 0.5: [0, 1, 1, 1, 1],
+                    0.6: [0, 0, 0, 0, 1], 0.9: [0, 0, 0, 0, 0]}
+        for threshold, labels in expected.items():
+            assert label_scores(scores, threshold).tolist() == labels
+        assert label_scores(np.empty(0)).shape == (0,)
 
 
 class TestDeviance:

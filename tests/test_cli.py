@@ -239,6 +239,39 @@ class TestExitCodes:
         assert code == 3
         assert "encoding plan has" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        '{"positive_label_value": "1.00"}',
+        '{"columns": [{"name": "y", "kind": "label"}]}',
+        '{"columns": [{"name": "y", "kind": "ordinal"}], "positive_label_value": "1"}',
+        '{"columns": [{"name": "y", "kind": "label"}, {"name": "y", "kind": "label"}],'
+        ' "positive_label_value": "1"}',
+        '{"columns": [{"name": "x", "kind": "categorical"}], "positive_label_value": "1"}',
+    ], ids=["not-json", "no-columns", "no-positive-value", "unknown-kind",
+            "duplicate-names", "no-label"])
+    def test_malformed_schema_is_3(self, workspace, capsys, text):
+        (workspace / "bad-schema.json").write_text(text)
+        code = run(
+            "prepare", "--input", workspace / "data.csv",
+            "--schema", workspace / "bad-schema.json",
+            "--out", workspace / "x.csv",
+        )
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, threshold", [
+        ("evaluate", 2), ("predict", 0), ("predict", 1.5),
+    ])
+    def test_threshold_out_of_range_is_2(self, workspace, capsys, command, threshold):
+        assert run(*train_args(workspace)) == 0
+        argv = [command, "--model", workspace / "model.json",
+                "--input", workspace / "data.csv", "--threshold", threshold]
+        if command == "predict":
+            argv += ["--out", workspace / "preds.csv"]
+        assert run(*argv) == 2
+        assert "threshold must be in (0, 1)" in capsys.readouterr().err
+        assert not (workspace / "preds.csv").exists()
+
 
 class TestDeterminism:
     def test_same_seed_identical_outputs(self, workspace):

@@ -89,7 +89,8 @@ class TestRoc:
 
     def test_constant_scores_chance_line(self):
         curve = roc_auc([0, 1, 0, 1], [3.0, 3.0, 3.0, 3.0])
-        assert [(p[0], p[1]) for p in curve.points] == [(0.0, 0.0), (1.0, 1.0)]
+        assert curve.fpr.tolist() == [0.0, 1.0]
+        assert curve.tpr.tolist() == [0.0, 1.0]
         assert curve.auroc == 0.5
 
     def test_pairwise_concordance_example(self):
@@ -116,13 +117,17 @@ class TestRoc:
         y[0], y[1] = 0, 1
         s = rng.normal(size=50)
         curve = roc_auc(y, s)
-        fprs = [p[0] for p in curve.points]
-        tprs = [p[1] for p in curve.points]
+        fprs = curve.fpr.tolist()
+        tprs = curve.tpr.tolist()
         assert (fprs[0], tprs[0]) == (0.0, 0.0)
         assert (fprs[-1], tprs[-1]) == (1.0, 1.0)
         assert all(a <= b for a, b in zip(fprs, fprs[1:]))
         assert all(a <= b for a, b in zip(tprs, tprs[1:]))
-        assert curve.points[0][2] == np.inf
+        assert curve.thresholds[0] == np.inf
+        assert curve.fpr.size == curve.tpr.size == curve.thresholds.size
+        for a in (curve.fpr, curve.tpr, curve.thresholds):
+            with pytest.raises(ValueError):
+                a[0] = 0.5
 
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(10)

@@ -2,9 +2,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import separable_matrix
-from delayboost.boost import BoostParams, decision_function, fit_gbc
+from conftest import make_matrix, separable_matrix
+from delayboost.boost import BoostParams, decision_function, fit_gbc, predict_label
+from delayboost.dataset import generate_synthetic
+from delayboost.encode import fit_encoding
 from delayboost.errors import CorruptModelError, ModelIOError, VersionMismatchError
 from delayboost.model_io import load_model, save_model
 from delayboost.tree import TreeParams
@@ -108,3 +113,41 @@ class TestValidation:
         path.write_text('{"hello": 1}')
         with pytest.raises(CorruptModelError):
             load_model(path)
+
+
+# A plan whose output width (one column per feature) fixes the matrix width.
+PLAN = fit_encoding(generate_synthetic(40, 0.3, seed=0), one_hot=())
+
+
+@st.composite
+def _fit_inputs(draw):
+    with_plan = draw(st.booleans())
+    d = len(PLAN.output_names) if with_plan else draw(st.integers(1, 3))
+    n = draw(st.integers(2, 30))
+    element = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
+    X = draw(arrays(np.float64, (n, d), elements=element))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    y[:2] = [0, 1]  # both classes, so the log-odds prior is finite
+    fm = make_matrix(X, y)
+    if with_plan:
+        fm = type(fm)(fm.values, fm.labels, PLAN.output_names, plan=PLAN)
+    params = BoostParams(
+        estimators=draw(st.integers(0, 5)),
+        tree_params=TreeParams(max_depth=draw(st.integers(0, 4))),
+    )
+    return fm, params
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(_fit_inputs())
+    def test_load_reproduces_scores_and_labels(self, tmp_path_factory, inputs):
+        fm, params = inputs
+        model, _ = fit_gbc(fm, params)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        again, _ = load_model(path)
+        assert (again.plan is None) == (fm.plan is None)
+        before = decision_function(model, fm.values)
+        assert decision_function(again, fm.values).tobytes() == before.tobytes()
+        assert np.array_equal(predict_label(again, fm.values), predict_label(model, fm.values))

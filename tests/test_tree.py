@@ -9,7 +9,7 @@ from delayboost.errors import (
     EmptyInputError,
     NonFiniteTargetError,
 )
-from delayboost.tree import RegressionTree, TreeParams, fit_tree, predict_tree
+from delayboost.tree import RegressionTree, TreeParams, fit_tree
 
 
 def brute_force_root_split(X, t, min_samples_leaf=1):
@@ -85,21 +85,22 @@ class TestFitTrivial:
 class TestPredict:
     def test_single_leaf(self):
         tree = fit_tree([[1.0]], [3.0], TreeParams(max_depth=0))
-        assert predict_tree(tree, [123.0]) == 3.0
+        assert tree.predict(np.array([[123.0]])).tolist() == [3.0]
 
     def test_depth_one_routing(self):
         tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
-        assert predict_tree(tree, [1.0]) == 0.0
-        assert predict_tree(tree, [4.0]) == 1.0
+        assert tree.predict(np.array([[1.0], [4.0]])).tolist() == [0.0, 1.0]
 
     def test_threshold_ties_go_left(self):
         tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
-        assert predict_tree(tree, [2.5]) == 0.0
+        assert tree.predict(np.array([[2.5]])).tolist() == [0.0]
 
     def test_dimension_mismatch(self):
         tree = fit_tree([[1.0, 2.0]], [1.0], TreeParams(max_depth=0))
         with pytest.raises(DimensionMismatchError):
-            predict_tree(tree, [1.0])
+            tree.predict(np.array([[1.0]]))
+        with pytest.raises(DimensionMismatchError):
+            tree.predict(np.array([1.0, 2.0]))
         with pytest.raises(DimensionMismatchError):
             tree.predict(np.zeros((3, 5)))
 
@@ -109,7 +110,7 @@ class TestPredict:
         t = rng.normal(size=30)
         tree = fit_tree(X, t, TreeParams(max_depth=3))
         batch = tree.predict(X)
-        singles = [predict_tree(tree, row) for row in X]
+        singles = [tree.predict(row[None, :])[0] for row in X]
         assert np.array_equal(batch, singles)
 
 
@@ -230,7 +231,7 @@ class TestRoutingProperty:
                 assert (x[tree.feature[up]] <= tree.threshold[up]) == went_left
                 node = up
             assert node == 0
-            assert predict_tree(tree, x) == tree.value[leaf[r]]
+            assert tree.predict(x[None, :])[0] == tree.value[leaf[r]]
 
 
 class TestSerialization:
