@@ -13,24 +13,27 @@ from --seed: stage seeds derive as SeedSequence([seed, STAGE]) with STAGE
 1 for oversampling, 2 for the shuffle/split, and 3 for fold construction,
 so reruns with one seed reproduce every stage byte for byte.  --threads caps
 internal parallelism; the implementation runs the deterministic sequential
-schedule regardless, so outputs never depend on it.
+schedule regardless, so outputs never depend on it.  Subcommands read their
+settings straight off the parsed arguments.
 
 Reports and predictions label a row by `boost.label_scores` at --threshold
 (0.5 for train); a report's AUROC and --roc-out curve share one ROC sweep.
 
-Exit codes: 0 success, 2 usage error (also a --threshold outside (0, 1)),
-3 data error (also a malformed schema file), 4 numeric or training error.
+Exit codes: 0 success, 2 usage error (also a --threshold outside (0, 1) or a
+model flag outside the range BoostParams/TreeParams accept), 3 data error
+(also a malformed schema file), 4 numeric or training error.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 
 import numpy as np
 
-from . import boost, dataset, encode, metrics, model_io, resample, tune
+from . import boost, dataset, encode, metrics, model_io, resample, tree, tune
 from .errors import DataError, DelayBoostError, InvalidThresholdError, TrainingError
 
 SMOTE_STAGE = 1
@@ -43,50 +46,16 @@ def stage_seed(seed: int, stage: int) -> int:
     return int(np.random.SeedSequence([seed, stage]).generate_state(1)[0])
 
 
-def strategy_name(smote_percent: int) -> str:
-    return "Strategy 1" if smote_percent == 0 else "Strategy 2"
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """The shared pipeline settings a subcommand runs with.
-
-    A zero oversampling percent selects Strategy 1 (no balancing); any
-    positive multiple of 100 selects Strategy 2.
-    """
-
-    input_path: str
-    schema_path: str
-    one_hot: str | None
-    smote_percent: int
-    train_fraction: float
-    seed: int
-
-    @property
-    def strategy(self) -> str:
-        return strategy_name(self.smote_percent)
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        return cls(
-            input_path=args.input,
-            schema_path=args.schema,
-            one_hot=args.one_hot,
-            smote_percent=args.smote_percent,
-            train_fraction=getattr(args, "train_frac", 0.8),
-            seed=args.seed,
-        )
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        boost.label_scores((), getattr(args, "threshold", 0.5))  # checks --threshold
-    except InvalidThresholdError as exc:
-        print(f"error: --{exc}", file=sys.stderr)
+    try:  # flags out of range are usage errors, reported before any file is read
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError("threads must be >= 1")
+        boost.label_scores((), getattr(args, "threshold", 0.5))
+        if args.command in ("train", "tune"):
+            _boost_params(args)
+    except (InvalidThresholdError, ValueError) as exc:
+        print(f"error: --{str(exc).replace('_', '-')}", file=sys.stderr)
         return 2
     try:
         args.func(args)
@@ -257,36 +226,29 @@ def cmd_corr(args):
 
 
 def cmd_balance(args):
-    cfg = RunConfig.from_args(args)
-    fm = _encoded_matrix(cfg)
+    fm = _encoded_matrix(args)
     before = int(fm.labels.sum()), int(fm.n_rows - fm.labels.sum())
-    fm = _apply_balancing(fm, cfg)
+    fm = _apply_balancing(fm, args)
     _write_matrix(fm, args.out)
     after = int(fm.labels.sum()), int(fm.n_rows - fm.labels.sum())
     print(f"label 1: {before[0]} -> {after[0]}; label 0: {before[1]} -> {after[1]}")
 
 
 def cmd_train(args):
-    cfg = RunConfig.from_args(args)
-    split = _prepare_split(cfg)
+    split = _prepare_split(args)
+    model, trace = boost.fit_gbc(split.train, _boost_params(args))
 
-    params = boost.BoostParams(
-        estimators=args.estimators,
-        learning_rate=args.learning_rate,
-        tree_params=_tree_params(args),
-    )
-    model, trace = boost.fit_gbc(split.train, params)
-
+    strategy = "Strategy 1" if args.smote_percent == 0 else "Strategy 2"
     metadata = {
-        "seed": cfg.seed,
+        "seed": args.seed,
         "estimators": args.estimators,
         "max_depth": args.max_depth,
         "min_samples_split": args.min_samples_split,
         "min_samples_leaf": args.min_samples_leaf,
         "learning_rate": args.learning_rate,
-        "smote_percent": cfg.smote_percent,
-        "train_fraction": cfg.train_fraction,
-        "strategy": cfg.strategy,
+        "smote_percent": args.smote_percent,
+        "train_fraction": args.train_frac,
+        "strategy": strategy,
     }
     if args.timestamp is not None:
         metadata["timestamp"] = args.timestamp
@@ -296,7 +258,7 @@ def cmd_train(args):
         model,
         split.validation,
         threshold=0.5,
-        strategy=cfg.strategy,
+        strategy=strategy,
         extra={
             "training_rows": split.train.n_rows,
             "validation_rows": split.validation.n_rows,
@@ -307,16 +269,14 @@ def cmd_train(args):
 
 
 def cmd_tune(args):
-    cfg = RunConfig.from_args(args)
-    split = _prepare_split(cfg)
+    split = _prepare_split(args)
     grid = _parse_grid(args.grid) if args.grid else tune.DEFAULT_GRID
-    base = boost.BoostParams(learning_rate=args.learning_rate)
     result = tune.grid_search(
         split.train,
         grid=grid,
         folds=args.folds,
-        base=base,
-        seed=stage_seed(cfg.seed, FOLD_STAGE),
+        base=_boost_params(args),
+        seed=stage_seed(args.seed, FOLD_STAGE),
         metric=args.metric,
     )
     print(result.render(), end="")
@@ -326,8 +286,8 @@ def cmd_tune(args):
 
 def cmd_evaluate(args):
     model, metadata = model_io.load_model(args.model)
-    ds, fm = _load_with_plan(args.input, model, missing_label_ok=False)
-    skipped = ds.n_rows - fm.n_rows if fm.n_rows != ds.n_rows else 0
+    ds, fm = _load_with_plan(args.input, model, labelled=True)
+    skipped = ds.n_rows - fm.n_rows
     doc, roc = _evaluation_doc(
         model,
         fm,
@@ -344,7 +304,7 @@ def cmd_evaluate(args):
 
 def cmd_predict(args):
     model, _ = model_io.load_model(args.model)
-    _, fm = _load_with_plan(args.input, model, missing_label_ok=True, drop_unlabelled=False)
+    _, fm = _load_with_plan(args.input, model, labelled=False)
     scores = boost.decision_function(model, fm.values)
     probas = boost.sigmoid(scores)
     labels = boost.label_scores(scores, args.threshold)
@@ -358,13 +318,18 @@ def cmd_predict(args):
     print(f"wrote {labels.size} predictions to {args.out}")
 
 
-def _tree_params(args):
-    from .tree import TreeParams
-
-    return TreeParams(
-        max_depth=args.max_depth,
-        min_samples_split=args.min_samples_split,
-        min_samples_leaf=args.min_samples_leaf,
+def _boost_params(args) -> boost.BoostParams:
+    """The model flags of `train` or `tune`; ValueError names one out of range."""
+    if args.command == "tune":  # the grid sets the estimators and the depth
+        return boost.BoostParams(learning_rate=args.learning_rate)
+    return boost.BoostParams(
+        estimators=args.estimators,
+        learning_rate=args.learning_rate,
+        tree_params=tree.TreeParams(
+            max_depth=args.max_depth,
+            min_samples_split=args.min_samples_split,
+            min_samples_leaf=args.min_samples_leaf,
+        ),
     )
 
 
@@ -380,30 +345,35 @@ def _resolve_one_hot(schema: dataset.Schema, arg):
     return tuple(c for c in encode.DEFAULT_ONE_HOT if c in categorical)
 
 
-def _encoded_matrix(cfg: RunConfig) -> encode.FeatureMatrix:
-    schema = _read_schema(cfg.schema_path)
-    ds = dataset.drop_missing_labels(dataset.load_csv(cfg.input_path, schema))
-    plan = encode.fit_encoding(ds, one_hot=_resolve_one_hot(schema, cfg.one_hot))
+def _encoded_matrix(args) -> encode.FeatureMatrix:
+    schema = _read_schema(args.schema)
+    ds = dataset.drop_missing_labels(dataset.load_csv(args.input, schema))
+    plan = encode.fit_encoding(ds, one_hot=_resolve_one_hot(schema, args.one_hot))
     return encode.apply_encoding(ds, plan)
 
 
-def _apply_balancing(fm: encode.FeatureMatrix, cfg: RunConfig) -> encode.FeatureMatrix:
+def _apply_balancing(fm: encode.FeatureMatrix, args) -> encode.FeatureMatrix:
     """Strategy 2 oversamples the minority class; Strategy 1 returns fm as is."""
-    if cfg.smote_percent == 0:
+    if args.smote_percent == 0:
         return fm
-    smote = resample.SmoteConfig(cfg.smote_percent, seed=stage_seed(cfg.seed, SMOTE_STAGE))
+    smote = resample.SmoteConfig(args.smote_percent, seed=stage_seed(args.seed, SMOTE_STAGE))
     return resample.random_smote(fm, smote)
 
 
-def _prepare_split(cfg: RunConfig) -> encode.SplitPair:
+def _prepare_split(args) -> encode.SplitPair:
     """Encode, balance, then shuffle and split into training and validation."""
-    fm = _apply_balancing(_encoded_matrix(cfg), cfg)
+    fm = _apply_balancing(_encoded_matrix(args), args)
     return encode.shuffle_split(
-        fm, cfg.train_fraction, seed=stage_seed(cfg.seed, SPLIT_STAGE)
+        fm, args.train_frac, seed=stage_seed(args.seed, SPLIT_STAGE)
     )
 
 
-def _load_with_plan(path, model, missing_label_ok: bool, drop_unlabelled: bool = True):
+def _load_with_plan(path, model, labelled: bool):
+    """Load rows for a model's plan and encode them in prediction mode.
+
+    `labelled` input must have the label column and loses its unlabelled
+    rows; otherwise the label column may be absent and every row is kept.
+    """
     if model.plan is None:
         raise DataError("model file carries no encoding plan")
     plan = model.plan
@@ -411,8 +381,8 @@ def _load_with_plan(path, model, missing_label_ok: bool, drop_unlabelled: bool =
         plan.feature_columns + (dataset.Column(plan.label_name, dataset.LABEL),),
         plan.positive_label_value,
     )
-    ds = dataset.load_csv(path, schema, missing_label_ok=missing_label_ok)
-    cleaned = dataset.drop_missing_labels(ds) if drop_unlabelled else ds
+    ds = dataset.load_csv(path, schema, missing_label_ok=not labelled)
+    cleaned = dataset.drop_missing_labels(ds) if labelled else ds
     fm = encode.apply_encoding(cleaned, plan, training=False)
     return ds, fm
 
@@ -453,19 +423,16 @@ def _emit_report(doc, roc, args):
 
 
 def _write_json(doc, path):
-    import json
-
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
 def _write_matrix(fm: encode.FeatureMatrix, path):
-    label_name = fm.plan.label_name if fm.plan is not None else "label"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(fm.column_names) + f",{label_name}\n")
-        for row, label in zip(fm.values, fm.labels):
-            fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
+        fh.write(",".join(fm.column_names) + f",{fm.plan.label_name}\n")
+        for row, label in zip(fm.values.tolist(), fm.labels.tolist()):
+            fh.write(",".join(map(repr, row)) + f",{label}\n")
 
 
 def _parse_grid(text: str) -> tune.Grid:

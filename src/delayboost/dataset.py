@@ -351,66 +351,49 @@ def class_balance(ds: Dataset) -> ClassBalance:
     return ClassBalance(negatives=negatives, positives=positives, missing=missing)
 
 
-@dataclass(frozen=True)
-class SyntheticFeature:
-    """One column of the synthetic generator's feature spec.
-
-    Categorical features draw uniformly from `values`; continuous features
-    draw HH:MM-style times uniformly when `hhmm` is set, else uniform floats
-    in [low, high).
-    """
-
-    name: str
-    kind: str
-    values: tuple = ()
-    low: float = 0.0
-    high: float = 1.0
-    hhmm: bool = False
-
-
-# The ten post-selection flight features plus their plausible value ranges.
-# Airport ids are the five busiest US airports (ATL, LAX, ORD, DFW, JFK) with
-# their world area codes.
-DEFAULT_SYNTHETIC_FEATURES = (
-    SyntheticFeature("Month", CATEGORICAL, values=tuple(str(m) for m in range(1, 13))),
-    SyntheticFeature("Day_of_Month", CATEGORICAL, values=tuple(str(d) for d in range(1, 29))),
-    SyntheticFeature("Day_of_Week", CATEGORICAL, values=tuple(str(d) for d in range(1, 8))),
-    SyntheticFeature("Flight_Num", CATEGORICAL, values=tuple(str(n) for n in range(100, 160))),
-    SyntheticFeature("Origin_Airport_ID", CATEGORICAL, values=("10397", "11298", "12478", "12892", "13930")),
-    SyntheticFeature("Origin_World_Area_Code", CATEGORICAL, values=("22", "34", "41", "74", "91")),
-    SyntheticFeature("Destination_Airport_ID", CATEGORICAL, values=("10397", "11298", "12478", "12892", "13930")),
-    SyntheticFeature("Destination_World_Area_Code", CATEGORICAL, values=("22", "34", "41", "74", "91")),
-    SyntheticFeature("CRS_Departure_Time", CONTINUOUS, hhmm=True),
-    SyntheticFeature("CRS_Arrival_Time", CONTINUOUS, hhmm=True),
+# The ten post-selection flight features: eight categorical columns with
+# their plausible values, then the two scheduled HHMM times.  Airport ids are
+# the five busiest US airports (ATL, LAX, ORD, DFW, JFK) with their world area
+# codes.
+_AIRPORTS = ("10397", "11298", "12478", "12892", "13930")
+_AREA_CODES = ("22", "34", "41", "74", "91")
+_SYNTHETIC_CATEGORIES = (
+    ("Month", tuple(str(m) for m in range(1, 13))),
+    ("Day_of_Month", tuple(str(d) for d in range(1, 29))),
+    ("Day_of_Week", tuple(str(d) for d in range(1, 8))),
+    ("Flight_Num", tuple(str(n) for n in range(100, 160))),
+    ("Origin_Airport_ID", _AIRPORTS),
+    ("Origin_World_Area_Code", _AREA_CODES),
+    ("Destination_Airport_ID", _AIRPORTS),
+    ("Destination_World_Area_Code", _AREA_CODES),
 )
+_SYNTHETIC_TIMES = ("CRS_Departure_Time", "CRS_Arrival_Time")
 
 SYNTHETIC_LABEL_NAME = "Arr_Del_15"
 SYNTHETIC_POSITIVE_VALUE = "1.00"
 SYNTHETIC_NEGATIVE_VALUE = "0.00"
 
 
-def synthetic_schema(features=DEFAULT_SYNTHETIC_FEATURES) -> Schema:
-    cols = tuple(Column(f.name, f.kind) for f in features) + (
-        Column(SYNTHETIC_LABEL_NAME, LABEL),
+def synthetic_schema() -> Schema:
+    cols = (
+        [Column(name, CATEGORICAL) for name, _ in _SYNTHETIC_CATEGORIES]
+        + [Column(name, CONTINUOUS) for name in _SYNTHETIC_TIMES]
+        + [Column(SYNTHETIC_LABEL_NAME, LABEL)]
     )
-    return Schema(cols, SYNTHETIC_POSITIVE_VALUE)
+    return Schema(tuple(cols), SYNTHETIC_POSITIVE_VALUE)
 
 
-def generate_synthetic(
-    n_rows: int,
-    positive_fraction: float,
-    seed: int,
-    features=DEFAULT_SYNTHETIC_FEATURES,
-    noise: float = 0.35,
-) -> Dataset:
+def generate_synthetic(n_rows: int, positive_fraction: float, seed: int) -> Dataset:
     """Generate a deterministic labelled flight dataset for desk-scale runs.
 
-    Labels follow a hidden circadian rule on the scheduled departure and
-    arrival times plus Gaussian noise, so the label is learnable but not
-    trivially separable.  The rows with the highest delay risk are labelled
-    positive, which pins the class imbalance to `positive_fraction` within
-    one row.  All randomness comes from a NumPy PCG64 generator seeded with
-    `seed`, so identical arguments produce identical datasets.
+    Categorical cells draw uniformly from their value lists, then the
+    departure and arrival times draw uniformly over the day.  Labels follow a
+    hidden circadian rule on those two times plus Gaussian noise (sd 0.35),
+    so the label is learnable but not trivially separable.  The rows with the
+    highest delay risk are labelled positive, which pins the class imbalance
+    to `positive_fraction` within one row.  All randomness comes from a NumPy
+    PCG64 generator seeded with `seed`, so identical arguments produce
+    identical datasets.
 
     Raises:
         InvalidSpecError: fewer than 10 rows or a fraction outside (0, 1).
@@ -421,36 +404,23 @@ def generate_synthetic(
         raise InvalidSpecError("positive fraction must be in (0, 1)")
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    columns: list[np.ndarray] = []
-    dep_hours = arr_hours = None
-    for f in features:
-        if f.kind == CATEGORICAL:
-            columns.append(np.array(f.values)[rng.integers(0, len(f.values), size=n_rows)])
-        elif f.hhmm:
-            hours = rng.uniform(0.0, 24.0, size=n_rows)
-            columns.append(np.floor(hours).astype(int) * 100
-                           + np.floor((hours % 1.0) * 60).astype(int))
-            if dep_hours is None:
-                dep_hours = hours
-            else:
-                arr_hours = hours
-        else:
-            columns.append(rng.uniform(f.low, f.high, size=n_rows))
-
-    if dep_hours is None:
-        raise InvalidSpecError("feature spec must include at least one time column")
-    if arr_hours is None:
-        arr_hours = dep_hours
+    columns = [
+        np.array(values)[rng.integers(0, len(values), size=n_rows)]
+        for _, values in _SYNTHETIC_CATEGORIES
+    ]
+    hours = [rng.uniform(0.0, 24.0, size=n_rows) for _ in _SYNTHETIC_TIMES]
+    columns += [np.floor(h).astype(int) * 100 + np.floor((h % 1.0) * 60).astype(int) for h in hours]
+    dep_hours, arr_hours = hours
 
     # Hidden rule: evening departures and late arrivals carry higher risk.
     risk = (
         0.6 * np.sin(2.0 * math.pi * (dep_hours - 6.0) / 24.0)
         + 0.4 * np.sin(2.0 * math.pi * (arr_hours - 8.0) / 24.0)
-        + rng.normal(0.0, noise, size=n_rows)
+        + rng.normal(0.0, 0.35, size=n_rows)
     )
     n_pos = int(round(positive_fraction * n_rows))
     order = np.argsort(risk, kind="stable")
     labels = np.full(n_rows, SYNTHETIC_NEGATIVE_VALUE)
     labels[order[n_rows - n_pos:]] = SYNTHETIC_POSITIVE_VALUE
     columns.append(labels)
-    return Dataset(synthetic_schema(features), columns)
+    return Dataset(synthetic_schema(), columns)

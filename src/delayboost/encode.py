@@ -98,7 +98,6 @@ class FeatureMatrix:
     column_names: tuple[str, ...]
     plan: EncodingPlan | None = None
     unseen_categories: int = 0
-    missing_labels: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
@@ -167,9 +166,9 @@ def apply_encoding(ds: Dataset, plan: EncodingPlan, training: bool = True) -> Fe
     In training mode every categorical value must appear in the plan and every
     label must be present.  In prediction mode an unseen value yields an
     all-zero one-hot group (or code -1 for integer-coded columns) and bumps
-    the matrix's `unseen_categories` counter; missing labels count in
-    `missing_labels` and encode as 0.  In both modes a third label value
-    raises UnrecognizedLabelValueError (see `dataset.label_classes`).
+    the matrix's `unseen_categories` counter, and a missing label encodes as
+    0.  In both modes a third label value raises UnrecognizedLabelValueError
+    (see `dataset.label_classes`).
     """
     blocks = [np.empty((ds.n_rows, 0))]  # keeps the join defined for a label-only plan
     unseen = 0
@@ -209,7 +208,6 @@ def apply_encoding(ds: Dataset, plan: EncodingPlan, training: bool = True) -> Fe
         column_names=plan.output_names,
         plan=plan,
         unseen_categories=unseen,
-        missing_labels=int(np.count_nonzero(missing)),
     )
 
 

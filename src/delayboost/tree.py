@@ -136,14 +136,17 @@ class RegressionTree:
 def fit_tree(X: np.ndarray, targets: np.ndarray, params: TreeParams) -> RegressionTree:
     """Fit a least-squares regression tree; leaf value = mean of its targets.
 
+    Nodes are numbered in preorder: a node, its left subtree, its right subtree.
+
     Raises:
         EmptyInputError: no rows.
-        DimensionMismatchError: row count differs from target length.
+        DimensionMismatchError: X is not a 2-D matrix, or its row count differs
+            from the target length.
         NonFiniteTargetError: NaN or infinite targets.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
-        X = X.reshape(len(X), -1)
+        raise DimensionMismatchError(f"expected a 2-D feature matrix, got shape {X.shape}")
     t = np.asarray(targets, dtype=np.float64).ravel()
     if X.shape[0] == 0:
         raise EmptyInputError("cannot fit a tree on zero rows")
@@ -152,59 +155,40 @@ def fit_tree(X: np.ndarray, targets: np.ndarray, params: TreeParams) -> Regressi
     if not np.all(np.isfinite(t)):
         raise NonFiniteTargetError("targets contain NaN or infinity")
 
-    builder = _Builder(X, t, params)
-    builder.grow(np.arange(X.shape[0]), depth=0)
+    nodes = []  # [feature, threshold, left, right, value] per node
+    _grow(nodes, X, t, params, np.arange(X.shape[0]), depth=0)
+    feature, threshold, left, right, value = zip(*nodes)
     return RegressionTree(
-        feature=np.asarray(builder.feature, dtype=np.int64),
-        threshold=np.asarray(builder.threshold, dtype=np.float64),
-        left=np.asarray(builder.left, dtype=np.int64),
-        right=np.asarray(builder.right, dtype=np.int64),
-        value=np.asarray(builder.value, dtype=np.float64),
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        value=np.array(value, dtype=np.float64),
         n_features=X.shape[1],
     )
 
 
-class _Builder:
-    """Recursive growth into flat node arrays."""
+def _grow(nodes: list, X, t, params: TreeParams, idx: np.ndarray, depth: int) -> int:
+    """Append the subtree over rows `idx` to `nodes` in preorder; return its root id.
 
-    def __init__(self, X, t, params: TreeParams):
-        self.X = X
-        self.t = t
-        self.params = params
-        self.feature = []
-        self.threshold = []
-        self.left = []
-        self.right = []
-        self.value = []
-
-    def _new_node(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(np.nan)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.value.append(np.nan)
-        return len(self.feature) - 1
-
-    def _leaf(self, node: int, idx: np.ndarray):
-        self.value[node] = float(self.t[idx].mean())
-
-    def grow(self, idx: np.ndarray, depth: int) -> int:
-        node = self._new_node()
-        p = self.params
-        if depth >= p.max_depth or idx.size < p.min_samples_split:
-            self._leaf(node, idx)
-            return node
-        split = _best_split(self.X, self.t, idx, p.min_samples_leaf)
-        if split is None:
-            self._leaf(node, idx)
-            return node
-        feature, threshold = split
-        goes_left = self.X[idx, feature] <= threshold
-        self.feature[node] = feature
-        self.threshold[node] = threshold
-        self.left[node] = self.grow(idx[goes_left], depth + 1)
-        self.right[node] = self.grow(idx[~goes_left], depth + 1)
+    A module-level function rather than a closure in fit_tree: a recursive
+    closure refers to itself, so each fit's X and targets would wait for the
+    cyclic garbage collector instead of being freed on return.
+    """
+    node = len(nodes)
+    nodes.append([_LEAF, np.nan, _LEAF, _LEAF, np.nan])
+    split = None
+    if depth < params.max_depth and idx.size >= params.min_samples_split:
+        split = _best_split(X, t, idx, params.min_samples_leaf)
+    if split is None:
+        nodes[node][4] = float(t[idx].mean())
         return node
+    feature, threshold = split
+    goes_left = X[idx, feature] <= threshold
+    nodes[node][:2] = feature, threshold
+    nodes[node][2] = _grow(nodes, X, t, params, idx[goes_left], depth + 1)
+    nodes[node][3] = _grow(nodes, X, t, params, idx[~goes_left], depth + 1)
+    return node
 
 
 def _best_split(X, t, idx, min_samples_leaf):
@@ -228,10 +212,9 @@ def _best_split(X, t, idx, min_samples_leaf):
         xs_sorted = xs[order]
         ts_sorted = ti[order]
         boundaries = np.flatnonzero(xs_sorted[1:] != xs_sorted[:-1]) + 1
-        if min_samples_leaf > 1:
-            boundaries = boundaries[
-                (boundaries >= min_samples_leaf) & (n - boundaries >= min_samples_leaf)
-            ]
+        boundaries = boundaries[
+            (boundaries >= min_samples_leaf) & (n - boundaries >= min_samples_leaf)
+        ]
         if boundaries.size == 0:
             continue
         cum = np.cumsum(ts_sorted)
@@ -248,8 +231,11 @@ def _best_split(X, t, idx, min_samples_leaf):
         j = int(np.argmin(sse))  # first minimum = lowest threshold
         if sse[j] < best_sse:
             best_sse = sse[j]
-            cut = boundaries[j]
-            best = (f, (xs_sorted[cut - 1] + xs_sorted[cut]) / 2.0)
+            lo, hi = xs_sorted[boundaries[j] - 1], xs_sorted[boundaries[j]]
+            mid = (lo + hi) / 2.0
+            # Between adjacent doubles the midpoint can round up to hi (or
+            # overflow), which would send hi left; lo splits the same rows.
+            best = (f, mid if mid < hi else lo)
     if best is None or best_sse >= parent_sse - tolerance:
         return None
     return best

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from delayboost.cli import main
+import delayboost as db
+from delayboost.cli import SMOTE_STAGE, main, stage_seed
 
 
 def run(*argv):
@@ -101,6 +102,19 @@ class TestPipeline:
         assert "label 1: 45 -> 135" in out
         rows = (workspace / "balanced.csv").read_text().splitlines()
         assert len(rows) - 1 == 105 + 135
+
+        schema = db.Schema.from_json((workspace / "schema.json").read_text())
+        ds = db.load_csv(workspace / "data.csv", schema)
+        expected = db.random_smote(
+            db.apply_encoding(ds, db.fit_encoding(ds)),
+            db.SmoteConfig(200, seed=stage_seed(1, SMOTE_STAGE)),
+        )
+        assert rows[0].split(",") == [*expected.column_names, "Arr_Del_15"]
+        cells = [row.split(",") for row in rows[1:]]
+        values = np.array([[float(c) for c in row[:-1]] for row in cells])
+        labels = np.array([int(row[-1]) for row in cells])
+        assert values.view(np.uint64).tolist() == expected.values.view(np.uint64).tolist()
+        assert labels.tolist() == expected.labels.tolist()
 
     def test_train_evaluate_predict(self, workspace, capsys):
         assert run(*train_args(workspace)) == 0
@@ -258,6 +272,27 @@ class TestExitCodes:
         )
         assert code == 3
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--learning-rate", 0),
+        ("train", "--estimators", -1),
+        ("train", "--max-depth", -1),
+        ("train", "--min-samples-split", 1),
+        ("train", "--min-samples-leaf", 0),
+        ("tune", "--learning-rate", 2),
+    ])
+    def test_model_flag_out_of_range_is_2(self, workspace, capsys, command, flag, value):
+        if command == "train":
+            argv = train_args(workspace, **{flag: value})
+        else:
+            argv = ["tune", "--input", workspace / "data.csv",
+                    "--schema", workspace / "schema.json", "--grid", "2x1",
+                    "--folds", 2, flag, value, "--report-out", workspace / "grid.json"]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+        assert not (workspace / "model.json").exists()
+        assert not (workspace / "grid.json").exists()
 
     @pytest.mark.parametrize("command, threshold", [
         ("evaluate", 2), ("predict", 0), ("predict", 1.5),

@@ -146,7 +146,7 @@ class TestApplyEncoding:
         ds = flights(("a", "AA", 1.0, None))
         plan = fit_encoding(BASE, one_hot=())
         fm = apply_encoding(ds, plan, training=False)
-        assert fm.missing_labels == 1
+        assert fm.labels.tolist() == [0]
 
     @pytest.mark.parametrize("training", [True, False])
     def test_third_label_value(self, training):

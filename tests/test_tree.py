@@ -25,8 +25,8 @@ def brute_force_root_split(X, t, min_samples_leaf=1):
         values = sorted(set(X[:, f]))
         for lo, hi in zip(values, values[1:]):
             threshold = (lo + hi) / 2.0
-            left = t[X[:, f] <= threshold]
-            right = t[X[:, f] > threshold]
+            left = t[X[:, f] <= lo]
+            right = t[X[:, f] >= hi]
             if len(left) < min_samples_leaf or len(right) < min_samples_leaf:
                 continue
             sse = sum((v - left.mean()) ** 2 for v in left) + sum(
@@ -80,6 +80,13 @@ class TestFitTrivial:
     def test_row_target_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             fit_tree([[1.0], [2.0]], [1.0], TreeParams())
+
+    @pytest.mark.parametrize("shape", [(4,), (4, 1, 1)])
+    def test_non_matrix_input_rejected(self, shape):
+        # scoring rejects these shapes, so fitting must too
+        X = np.arange(4.0).reshape(shape)
+        with pytest.raises(DimensionMismatchError):
+            fit_tree(X, [0.0, 0.0, 1.0, 1.0], TreeParams())
 
 
 class TestPredict:
@@ -174,6 +181,14 @@ class TestOracle:
         for depth in (1, 2, 4):
             assert fit_tree(X, t, TreeParams(max_depth=depth)).depth <= depth
 
+    def test_split_between_adjacent_doubles(self):
+        lo = np.nextafter(1.0, 2.0)
+        hi = np.nextafter(lo, 2.0)  # (lo + hi) / 2 rounds to hi
+        X = np.array([[lo], [hi]])
+        tree = fit_tree(X, [0.0, 1.0], TreeParams(max_depth=1))
+        assert tree.apply(X).tolist() == [1, 2]
+        assert tree.value[1:].tolist() == [0.0, 1.0]
+
     def test_tie_break_prefers_lowest_feature(self):
         # duplicated feature: identical gains, feature 0 must win
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -232,6 +247,34 @@ class TestRoutingProperty:
                 node = up
             assert node == 0
             assert tree.predict(x[None, :])[0] == tree.value[leaf[r]]
+
+
+@st.composite
+def _split_inputs(draw):
+    n = draw(st.integers(2, 20))
+    d = draw(st.integers(1, 3))
+    tied = draw(st.booleans())
+    element = st.integers(-3, 3).map(float) if tied else st.floats(-5.0, 5.0)
+    X = draw(arrays(np.float64, (n, d), elements=element))
+    t = draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    return X, t, draw(st.integers(1, 4))
+
+
+class TestSplitOracleProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_split_inputs())
+    def test_root_split_matches_brute_force(self, inputs):
+        X, t, k = inputs
+        tree = fit_tree(X, t, TreeParams(max_depth=1, min_samples_leaf=k))
+        oracle = brute_force_root_split(X, t, min_samples_leaf=k)
+        if tree.feature[0] == -1:
+            # no admissible split, or none that gains beyond noise
+            parent = float(((t - t.mean()) ** 2).sum())
+            assert oracle is None or oracle[0] >= parent - 1e-9 * max(parent, 1.0)
+            return
+        assert oracle is not None
+        assert np.bincount(tree.apply(X), minlength=3)[1:].min() >= k
+        assert achieved_root_sse(tree, X, t) == pytest.approx(oracle[0], rel=1e-9, abs=1e-9)
 
 
 class TestSerialization:
