@@ -17,6 +17,7 @@ from .boost import (
     predict_proba,
     sigmoid,
     staged_deviance,
+    staged_scores,
 )
 from .dataset import (
     ClassBalance,
@@ -98,6 +99,7 @@ __all__ = [
     "shuffle_split",
     "sigmoid",
     "staged_deviance",
+    "staged_scores",
     "stratified_folds",
     "summarize",
     "write_csv",

@@ -15,9 +15,13 @@ already include the line-search step and prediction only applies shrinkage:
     f_M(x) = f0 + learning_rate * sum_m tree_m(x).
 
 sigmoid(f_M(x)) is the delay probability.  Scoring takes an (n, n_features)
-matrix only; a single row is a (1, n_features) matrix.  Every label in the
-package comes from one rule, `label_scores`: 1 iff sigmoid(score) >= the
-threshold, which must lie in (0, 1).
+matrix only; a single row is a (1, n_features) matrix.  One loop adds the
+trees up: `staged_scores` yields f_0, f_1, ..., f_M in turn, updating one
+array in place, so a caller reads (or copies) each value before it asks for
+the next.  `decision_function` is its last value and `staged_deviance` the
+deviance of each.  Every label in the package comes from one rule,
+`label_scores`: 1 iff sigmoid(score) >= the threshold, which must lie in
+(0, 1).
 """
 
 from __future__ import annotations
@@ -149,15 +153,27 @@ def label_scores(scores, threshold: float = 0.5) -> np.ndarray:
     return (sigmoid(scores) >= threshold).astype(np.int64)
 
 
+def staged_scores(model: BoostedModel, x):
+    """Yield the running score f_m of every row of x after m = 0, 1, ..., M trees.
+
+    The matrix is checked once.  Every step adds one tree to the same array in
+    place and yields it again, so read or copy each value before advancing.
+    """
+    X = _check_matrix(x, model.n_features)
+    scores = np.full(X.shape[0], model.f0)
+    yield scores
+    for tree in model.trees:
+        scores += model.learning_rate * tree.predict(X)
+        yield scores
+
+
 def decision_function(model: BoostedModel, x) -> np.ndarray:
     """Raw additive score f_M(x) for every row of the (n, n_features) matrix x.
 
     Positive means the predicted delay probability exceeds 0.5.
     """
-    X = _check_matrix(x, model.n_features)
-    scores = np.full(X.shape[0], model.f0)
-    for tree in model.trees:
-        scores += model.learning_rate * tree.predict(X)
+    for scores in staged_scores(model, x):
+        pass
     return scores
 
 
@@ -175,11 +191,4 @@ def staged_deviance(model: BoostedModel, fm: FeatureMatrix) -> np.ndarray:
     """Mean deviance on fm using the first m trees, for m = 0..M."""
     if fm.n_rows == 0:
         raise EmptyInputError("staged deviance needs at least one row")
-    X = _check_matrix(fm.values, model.n_features)
-    y = fm.labels
-    f = np.full(X.shape[0], model.f0)
-    out = [mean_deviance(y, f)]
-    for tree in model.trees:
-        f += model.learning_rate * tree.predict(X)
-        out.append(mean_deviance(y, f))
-    return np.asarray(out)
+    return np.asarray([mean_deviance(fm.labels, f) for f in staged_scores(model, fm.values)])

@@ -19,9 +19,9 @@ settings straight off the parsed arguments.
 Reports and predictions label a row by `boost.label_scores` at --threshold
 (0.5 for train); a report's AUROC and --roc-out curve share one ROC sweep.
 
-Exit codes: 0 success, 2 usage error (also a --threshold outside (0, 1) or a
-model flag outside the range BoostParams/TreeParams accept), 3 data error
-(also a malformed schema file), 4 numeric or training error.
+Exit codes: 0 success, 2 usage error (also a numeric flag out of range, found
+by the code that owns its rule before any file is read), 3 data error (also a
+malformed schema file), 4 numeric or training error.
 """
 
 from __future__ import annotations
@@ -40,6 +40,16 @@ SMOTE_STAGE = 1
 SPLIT_STAGE = 2
 FOLD_STAGE = 3
 
+# A rule's error names the library argument it checks; these name another flag.
+_FLAG_OF = {
+    "n_rows": "--rows",
+    "positive_fraction": "--positive-frac",
+    "train_fraction": "--train-frac",
+    "percent": "--smote-percent",
+    "estimator_values": "--grid estimator counts",
+    "depth_values": "--grid depths",
+}
+
 
 def stage_seed(seed: int, stage: int) -> int:
     """Derive a stage seed from the master seed (NumPy SeedSequence)."""
@@ -49,13 +59,11 @@ def stage_seed(seed: int, stage: int) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:  # flags out of range are usage errors, reported before any file is read
-        if getattr(args, "threads", 1) < 1:
-            raise ValueError("threads must be >= 1")
-        boost.label_scores((), getattr(args, "threshold", 0.5))
-        if args.command in ("train", "tune"):
-            _boost_params(args)
-    except (InvalidThresholdError, ValueError) as exc:
-        print(f"error: --{str(exc).replace('_', '-')}", file=sys.stderr)
+        _check_flags(args)
+    except (DataError, InvalidThresholdError, ValueError) as exc:
+        name, rest = str(exc).split(" ", 1)
+        print(f"error: {_FLAG_OF.get(name, '--' + name.replace('_', '-'))} {rest}",
+              file=sys.stderr)
         return 2
     try:
         args.func(args)
@@ -66,6 +74,30 @@ def main(argv=None) -> int:
     except (DelayBoostError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+
+
+def _check_flags(args):
+    """Run each numeric flag through the code that owns its rule.
+
+    A rule raises with a message that starts with the argument it checks.
+    `--grid` and `--smote-percent` are replaced by the `tune.Grid` and the
+    `resample.SmoteConfig` (`args.smote`) that the command then uses.
+    """
+    if getattr(args, "threads", 1) < 1:
+        raise ValueError("threads must be >= 1")
+    boost.label_scores((), getattr(args, "threshold", 0.5))
+    if args.command == "synth":
+        dataset._check_synthetic_spec(args.rows, args.positive_frac)
+    if args.command in ("train", "tune"):
+        _boost_params(args)
+        encode._check_train_fraction(args.train_frac)
+    if args.command == "tune":
+        tune._check_folds(args.folds)
+        args.grid = _parse_grid(args.grid) if args.grid else tune.DEFAULT_GRID
+    if args.command in ("balance", "train", "tune"):
+        args.smote = resample.SmoteConfig(
+            args.smote_percent, seed=stage_seed(args.seed, SMOTE_STAGE)
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,10 +302,9 @@ def cmd_train(args):
 
 def cmd_tune(args):
     split = _prepare_split(args)
-    grid = _parse_grid(args.grid) if args.grid else tune.DEFAULT_GRID
     result = tune.grid_search(
         split.train,
-        grid=grid,
+        grid=args.grid,
         folds=args.folds,
         base=_boost_params(args),
         seed=stage_seed(args.seed, FOLD_STAGE),
@@ -354,10 +385,9 @@ def _encoded_matrix(args) -> encode.FeatureMatrix:
 
 def _apply_balancing(fm: encode.FeatureMatrix, args) -> encode.FeatureMatrix:
     """Strategy 2 oversamples the minority class; Strategy 1 returns fm as is."""
-    if args.smote_percent == 0:
+    if args.smote.percent == 0:
         return fm
-    smote = resample.SmoteConfig(args.smote_percent, seed=stage_seed(args.seed, SMOTE_STAGE))
-    return resample.random_smote(fm, smote)
+    return resample.random_smote(fm, args.smote)
 
 
 def _prepare_split(args) -> encode.SplitPair:
@@ -436,14 +466,12 @@ def _write_matrix(fm: encode.FeatureMatrix, path):
 
 
 def _parse_grid(text: str) -> tune.Grid:
-    if "x" not in text:
-        raise DataError(f'bad --grid {text!r}, expected "E1,E2xD1,D2"')
-    left, right = text.split("x", 1)
+    left, _, right = text.partition("x")  # no "x" leaves `right` empty, not an integer
     try:
         estimators = tuple(int(v) for v in left.split(","))
         depths = tuple(int(v) for v in right.split(","))
     except ValueError:
-        raise DataError(f"bad --grid {text!r}: values must be integers") from None
+        raise DataError(f'grid must be integers as "E1,E2xD1,D2", got {text!r}') from None
     return tune.Grid(estimators, depths)
 
 

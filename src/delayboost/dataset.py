@@ -383,6 +383,13 @@ def synthetic_schema() -> Schema:
     return Schema(tuple(cols), SYNTHETIC_POSITIVE_VALUE)
 
 
+def _check_synthetic_spec(n_rows: int, positive_fraction: float) -> None:
+    if n_rows < 10:
+        raise InvalidSpecError("n_rows must be >= 10")
+    if not 0.0 < positive_fraction < 1.0:
+        raise InvalidSpecError("positive_fraction must be in (0, 1)")
+
+
 def generate_synthetic(n_rows: int, positive_fraction: float, seed: int) -> Dataset:
     """Generate a deterministic labelled flight dataset for desk-scale runs.
 
@@ -398,10 +405,7 @@ def generate_synthetic(n_rows: int, positive_fraction: float, seed: int) -> Data
     Raises:
         InvalidSpecError: fewer than 10 rows or a fraction outside (0, 1).
     """
-    if n_rows < 10:
-        raise InvalidSpecError("synthetic datasets need at least 10 rows")
-    if not 0.0 < positive_fraction < 1.0:
-        raise InvalidSpecError("positive fraction must be in (0, 1)")
+    _check_synthetic_spec(n_rows, positive_fraction)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     columns = [

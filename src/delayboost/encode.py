@@ -263,6 +263,11 @@ def pearson_matrix(fm: FeatureMatrix, columns) -> CorrelationResult:
     return CorrelationResult(tuple(columns), matrix, degenerate)
 
 
+def _check_train_fraction(train_fraction: float) -> None:
+    if not 0.0 < train_fraction < 1.0:
+        raise DataError("train_fraction must be in (0, 1)")
+
+
 def shuffle_split(fm: FeatureMatrix, train_fraction: float = 0.8, seed: int = 0) -> SplitPair:
     """Seeded uniform shuffle, then a floor(fraction * n) head/tail split.
 
@@ -273,8 +278,7 @@ def shuffle_split(fm: FeatureMatrix, train_fraction: float = 0.8, seed: int = 0)
         TooFewRowsError: fewer than 2 rows.
         DataError: fraction outside (0, 1).
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError("train fraction must be in (0, 1)")
+    _check_train_fraction(train_fraction)
     n = fm.n_rows
     if n < 2:
         raise TooFewRowsError("need at least 2 rows to split")

@@ -6,6 +6,12 @@ chunks whose sizes differ by at most one, so every fold keeps the class
 proportions of the full set.  Every grid cell is evaluated on the same
 folds.
 
+Each (fold, depth) pair is fitted once, at the largest estimator count.
+Round m of `fit_gbc` does not depend on how many rounds follow, so the model
+of a smaller count is that fit's first trees, and `staged_scores` passes
+through its held-out scores on the way to the full model's: every cell is
+scored as if it had been fitted on its own.
+
 The best cell maximizes mean held-out score; ties break to the smallest
 estimator count, then the smallest depth, preferring the cheaper model.
 """
@@ -16,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .boost import BoostParams, decision_function, fit_gbc, label_scores
+from .boost import BoostParams, fit_gbc, label_scores, staged_scores
 from .encode import FeatureMatrix
 from .errors import ClassTooSmallForFoldsError, DataError, EmptyGridError
 from .metrics import confusion, summarize
@@ -101,14 +107,18 @@ class GridResult:
         return "\n".join(lines) + "\n"
 
 
+def _check_folds(folds: int) -> None:
+    if folds < 2:
+        raise DataError("folds must be >= 2")
+
+
 def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarray]:
     """Validation index arrays for stratified k-fold CV.
 
     Raises:
         ClassTooSmallForFoldsError: some class has fewer rows than folds.
     """
-    if folds < 2:
-        raise DataError("need at least 2 folds")
+    _check_folds(folds)
     labels = np.asarray(labels)
     rng = np.random.Generator(np.random.PCG64(seed))
     per_class_chunks = []
@@ -143,29 +153,33 @@ def grid_search(
     val_folds = stratified_folds(train.labels, folds, seed)
     all_rows = np.arange(train.n_rows)
 
-    cells = []
-    best = None
-    best_mean = -np.inf
-    for estimators in grid.estimator_values:
+    # estimators-major, the order the cells are reported and tie-broken in
+    fold_scores = {(e, d): [] for e in grid.estimator_values for d in grid.depth_values}
+    for val_idx in val_folds:
+        fit_rows = train.take(np.setdiff1d(all_rows, val_idx))
+        held_out = train.take(val_idx)
         for depth in grid.depth_values:
             params = replace(
                 base,
-                estimators=estimators,
+                estimators=grid.estimator_values[-1],
                 tree_params=replace(base.tree_params, max_depth=depth),
             )
-            scores = []
-            for val_idx in val_folds:
-                train_idx = np.setdiff1d(all_rows, val_idx)
-                model, _ = fit_gbc(train.take(train_idx), params)
-                held_out = train.take(val_idx)
-                pred = label_scores(decision_function(model, held_out.values))
-                summary = summarize(confusion(held_out.labels, pred))
-                scores.append(getattr(summary, metric))
-            cell = CellScore(estimators, depth, tuple(scores))
-            cells.append(cell)
-            if cell.mean_score > best_mean:
-                best_mean = cell.mean_score
-                best = (estimators, depth)
+            model, _ = fit_gbc(fit_rows, params)
+            for estimators, scores in enumerate(staged_scores(model, held_out.values)):
+                if (estimators, depth) in fold_scores:
+                    summary = summarize(confusion(held_out.labels, label_scores(scores)))
+                    fold_scores[estimators, depth].append(getattr(summary, metric))
+        del fit_rows, held_out  # peak memory: free them before the next fold copies its rows
+
+    cells = []
+    best = None
+    best_mean = -np.inf
+    for (estimators, depth), scores in fold_scores.items():
+        cell = CellScore(estimators, depth, tuple(scores))
+        cells.append(cell)
+        if cell.mean_score > best_mean:
+            best_mean = cell.mean_score
+            best = (estimators, depth)
 
     return GridResult(
         cells=tuple(cells), best=best, folds=folds, metric=metric, seed=seed

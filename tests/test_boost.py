@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_matrix, separable_matrix
 from delayboost.boost import (
@@ -14,6 +17,7 @@ from delayboost.boost import (
     predict_proba,
     sigmoid,
     staged_deviance,
+    staged_scores,
 )
 from delayboost.errors import (
     DimensionMismatchError,
@@ -249,3 +253,39 @@ class TestDeterminism:
             BoostParams(learning_rate=0.0)
         with pytest.raises(ValueError):
             BoostParams(learning_rate=1.5)
+
+
+@st.composite
+def _prefix_inputs(draw):
+    n = draw(st.integers(4, 30))
+    d = draw(st.integers(1, 3))
+    tied = draw(st.booleans())
+    element = st.integers(-3, 3).map(float) if tied else st.floats(-5.0, 5.0)
+    X = draw(arrays(np.float64, (n, d), elements=element))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    y[:2] = (0, 1)  # both classes
+    e_max = draw(st.integers(1, 8))
+    return make_matrix(X, y), e_max, draw(st.integers(1, e_max)), draw(st.integers(0, 3))
+
+
+class TestPrefixProperty:
+    """Round m of a fit never reads the estimator count, which grid search relies on."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(_prefix_inputs())
+    def test_smaller_fit_is_a_prefix_of_the_larger(self, inputs):
+        fm, e_max, e, depth = inputs
+        large, _ = fit_gbc(fm, quick_params(estimators=e_max, depth=depth))
+        small, _ = fit_gbc(fm, quick_params(estimators=e, depth=depth))
+        assert small.f0 == large.f0
+        assert len(small.trees) == e
+        for a, b in zip(small.trees, large.trees):
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+        staged = [f.copy() for f in staged_scores(large, fm.values)]
+        assert len(staged) == e_max + 1
+        assert staged[e].tobytes() == decision_function(small, fm.values).tobytes()
+        assert staged[-1].tobytes() == decision_function(large, fm.values).tobytes()
+        deviance = staged_deviance(large, fm)
+        assert deviance.tolist() == [mean_deviance(fm.labels, f) for f in staged]

@@ -294,6 +294,32 @@ class TestExitCodes:
         assert not (workspace / "model.json").exists()
         assert not (workspace / "grid.json").exists()
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("tune", "--folds", 1),
+        ("tune", "--grid", "0x1"),
+        ("tune", "--grid", "5,3x2"),
+        ("tune", "--grid", "5;3"),
+        ("train", "--train-frac", 1),
+        ("train", "--train-frac", 0),
+        ("synth", "--rows", 5),
+        ("synth", "--positive-frac", 1.5),
+        ("train", "--smote-percent", 150),
+        ("balance", "--smote-percent", -100),
+    ])
+    def test_flag_out_of_range_is_2(self, workspace, capsys, command, flag, value):
+        out = workspace / "out.csv"
+        data = ["--input", workspace / "data.csv", "--schema", workspace / "schema.json"]
+        argv = {  # the flag under test comes last, so it overrides a default given earlier
+            "synth": ["synth", "--rows", 50, "--out", out],
+            "balance": ["balance", *data, "--out", out],
+            "train": train_args(workspace, **{"--model-out": out}),
+            "tune": ["tune", *data, "--report-out", out],
+        }[command] + [flag, value]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, threshold", [
         ("evaluate", 2), ("predict", 0), ("predict", 1.5),
     ])

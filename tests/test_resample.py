@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import make_matrix
 from delayboost.errors import InvalidPercentError, MinorityTooSmallError
@@ -130,3 +133,40 @@ class TestDeterminism:
         fm = imbalanced(n_min=5, n_maj=9)
         out = random_smote(fm, SmoteConfig(400, seed=0))
         assert np.all(out.labels[fm.n_rows:] == 1)
+
+
+@st.composite
+def _smote_inputs(draw):
+    n_min = draw(st.integers(3, 10))
+    n_maj = draw(st.integers(n_min, n_min + 10))
+    d = draw(st.integers(1, 4))
+    X = draw(arrays(np.float64, (n_min + n_maj, d), elements=st.floats(-1e6, 1e6)))
+    minority_label = draw(st.integers(0, 1))
+    y = np.array([minority_label] * n_min + [1 - minority_label] * n_maj)
+    y = y[draw(st.permutations(range(y.size)))]
+    percent = draw(st.sampled_from([100, 200, 300, 400]))
+    return make_matrix(X, y), SmoteConfig(percent, seed=draw(st.integers(0, 2**32 - 1)))
+
+
+class TestGeometryProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(_smote_inputs())
+    def test_every_synthetic_row_is_its_trace_interpolation(self, inputs):
+        fm, cfg = inputs
+        out, trace = random_smote_with_trace(fm, cfg)
+        synth = out.values[fm.n_rows:]
+        assert synth.shape[0] == trace.t.size
+        for r in range(synth.shape[0]):
+            xi, xa, xb = (fm.values[i] for i in (trace.seed_row[r], trace.first[r],
+                                                 trace.second[r]))
+            t, u = trace.t[r], trace.u[r]
+            assert synth[r].tobytes() == synthesize_point(xi, xa, xb, t, u).tobytes()
+            weights = np.array([1.0 - u, u * (1.0 - t), u * t])
+            assert np.all((weights >= 0.0) & (weights <= 1.0))
+            assert weights.sum() == pytest.approx(1.0, abs=4 * np.finfo(float).eps)
+            # the affine combination, up to the rounding of the two interpolations
+            # (relative to the points' size, absolute among subnormals)
+            combo = weights @ np.vstack([xi, xa, xb])
+            scale = np.abs(xi) + np.abs(xa) + np.abs(xb)
+            tol = 16 * (np.finfo(float).eps * scale + np.finfo(float).smallest_subnormal)
+            assert np.all(np.abs(synth[r] - combo) <= tol)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import make_matrix, separable_matrix
-from delayboost.boost import BoostParams, decision_function, fit_gbc
+from delayboost.boost import BoostParams, decision_function, fit_gbc, label_scores
 from delayboost.errors import ClassTooSmallForFoldsError, DataError, EmptyGridError
+from delayboost.metrics import confusion, summarize
 from delayboost.tree import TreeParams
 from delayboost.tune import DEFAULT_GRID, Grid, grid_search, stratified_folds
 
@@ -72,32 +73,37 @@ class TestGridSearch:
 
     def test_better_cell_wins_against_direct_evaluation(self):
         fm = separable_matrix()
-        grid = Grid((1, 50), (1, 3))
+        grid = Grid((1, 10, 50), (1, 3))
         seed = 7
-        result = grid_search(fm, grid, folds=3, base=BASE, seed=seed)
-
-        # independent route: evaluate (1,1) and (50,3) with a hand-rolled CV loop
         folds = stratified_folds(fm.labels, 3, seed=seed)
-        means = {}
-        for estimators, depth in ((1, 1), (50, 3)):
-            scores = []
-            for val_idx in folds:
-                train_idx = np.setdiff1d(np.arange(fm.n_rows), val_idx)
-                params = BoostParams(
-                    estimators=estimators,
-                    learning_rate=0.1,
-                    tree_params=TreeParams(max_depth=depth),
-                )
-                model, _ = fit_gbc(fm.take(train_idx), params)
-                held = fm.take(val_idx)
-                pred = (decision_function(model, held.values) >= 0).astype(int)
-                scores.append(float(np.mean(pred == held.labels)))
-            means[(estimators, depth)] = sum(scores) / len(scores)
-        assert means[(50, 3)] > means[(1, 1)]
-        assert result.best == (50, 3)
-        by_cell = {(c.estimators, c.depth): c.mean_score for c in result.cells}
-        assert by_cell[(1, 1)] == pytest.approx(means[(1, 1)], abs=1e-12)
-        assert by_cell[(50, 3)] == pytest.approx(means[(50, 3)], abs=1e-12)
+        for metric in ("accuracy", "f1"):
+            result = grid_search(fm, grid, folds=3, base=BASE, seed=seed, metric=metric)
+
+            # independent route: refit every cell on its own with a hand-rolled CV loop
+            expected = {}
+            for estimators in grid.estimator_values:
+                for depth in grid.depth_values:
+                    params = BoostParams(
+                        estimators=estimators,
+                        learning_rate=0.1,
+                        tree_params=TreeParams(max_depth=depth),
+                    )
+                    scores = []
+                    for val_idx in folds:
+                        train_idx = np.setdiff1d(np.arange(fm.n_rows), val_idx)
+                        model, _ = fit_gbc(fm.take(train_idx), params)
+                        held = fm.take(val_idx)
+                        pred = label_scores(decision_function(model, held.values))
+                        summary = summarize(confusion(held.labels, pred))
+                        scores.append(getattr(summary, metric))
+                    expected[estimators, depth] = tuple(scores)
+            assert {(c.estimators, c.depth): c.fold_scores for c in result.cells} == expected
+            assert [(c.estimators, c.depth) for c in result.cells] == list(expected)
+            means = {cell: sum(s) / len(s) for cell, s in expected.items()}
+            assert means[(50, 3)] > means[(1, 1)], metric
+            assert result.best == max(means, key=lambda c: (means[c], -c[0], -c[1]))
+            if metric == "accuracy":
+                assert result.best == (50, 3)
 
     def test_exhaustive_cell_count(self):
         fm = step_matrix()
