@@ -34,10 +34,9 @@ from .encode import EncodingPlan, FeatureMatrix
 from .errors import (
     EmptyInputError,
     InvalidThresholdError,
-    NonFiniteFeatureError,
     SingleClassTrainingError,
 )
-from .tree import RegressionTree, TreeParams, _check_matrix, fit_tree
+from .tree import RegressionTree, TreeParams, _check_matrix, fit_tree, presort
 
 _NEWTON_GUARD = 1e-12
 
@@ -93,14 +92,16 @@ def mean_deviance(y: np.ndarray, f: np.ndarray) -> float:
 def fit_gbc(train: FeatureMatrix, params: BoostParams):
     """Train a boosted model; returns (BoostedModel, TrainingTrace).
 
+    Every round fits its tree on the same matrix, so each column is argsorted
+    once here (`presort`) and every round's `fit_tree` reuses that order.
+
     Raises:
-        SingleClassTrainingError: training labels are all one class.
         NonFiniteFeatureError: NaN or infinity in the feature matrix.
+        SingleClassTrainingError: training labels are all one class.
     """
     X = train.values
     y = train.labels
-    if not np.all(np.isfinite(X)):
-        raise NonFiniteFeatureError("features contain NaN or infinity")
+    order = presort(X)
     n_pos = int((y == 1).sum())
     if n_pos == 0 or n_pos == y.size:
         raise SingleClassTrainingError("training data must contain both classes")
@@ -115,7 +116,7 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
     for _ in range(params.estimators):
         p = sigmoid(f)
         residual = y - p
-        tree = fit_tree(X, residual, params.tree_params)
+        tree = fit_tree(X, residual, params.tree_params, order=order)
         leaf = tree.apply(X)
         weight = p * (1.0 - p)
         values = tree.value.copy()

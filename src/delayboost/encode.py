@@ -114,8 +114,12 @@ class FeatureMatrix:
         return self.values.shape[1]
 
     def take(self, indices) -> "FeatureMatrix":
+        """A copy of the rows at `indices`, an integer array or a boolean mask.
+
+        Indexing with an array already copies, so the rows are copied once.
+        """
         idx = np.asarray(indices)
-        return replace(self, values=self.values[idx].copy(), labels=self.labels[idx].copy())
+        return replace(self, values=self.values[idx], labels=self.labels[idx])
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.column_names.index(name)]

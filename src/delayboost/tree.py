@@ -7,8 +7,15 @@ Ties break to the lowest feature index, then the lowest threshold, so a fit
 is deterministic no matter how the search is scheduled.  Rows route left when
 x[feature] <= threshold.
 
-Nodes live in flat parallel arrays (feature, threshold, left, right, value);
-leaves have feature -1.
+The search is exact and presorted, after the column blocks of XGBoost (Chen &
+Guestrin 2016, section 4.1).  `presort` argsorts each column once, and a tree
+grows one level at a time: for each feature, one stable sort of the rows'
+node labels along the presorted column lays out every node of the level
+contiguously, each in its own sorted order, and one pass scans them all.
+`fit_gbc` presorts once per fit and hands the same order to every round.
+
+Nodes live in flat parallel arrays (feature, threshold, left, right, value),
+numbered in preorder; leaves have feature -1.
 """
 
 from __future__ import annotations
@@ -17,7 +24,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, EmptyInputError, NonFiniteTargetError
+from .errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    NonFiniteFeatureError,
+    NonFiniteTargetError,
+)
 
 _LEAF = -1
 
@@ -133,16 +145,44 @@ class RegressionTree:
         return cls(feature, threshold, left, right, value, int(doc["n_features"]))
 
 
-def fit_tree(X: np.ndarray, targets: np.ndarray, params: TreeParams) -> RegressionTree:
+def presort(X: np.ndarray) -> np.ndarray:
+    """Row ids of each column of X in stable ascending order, as a (d, n) int32 array.
+
+    Sorted one column at a time, so no (n, d) int64 temporary is held.
+
+    Raises:
+        DimensionMismatchError: X is not a 2-D matrix.
+        NonFiniteFeatureError: NaN or infinity in X.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise DimensionMismatchError(f"expected a 2-D feature matrix, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise NonFiniteFeatureError("features contain NaN or infinity")
+    order = np.empty((X.shape[1], X.shape[0]), dtype=np.int32)
+    for f in range(X.shape[1]):
+        order[f] = np.argsort(X[:, f], kind="stable")
+    return order
+
+
+def fit_tree(
+    X: np.ndarray, targets: np.ndarray, params: TreeParams, *, order: np.ndarray | None = None
+) -> RegressionTree:
     """Fit a least-squares regression tree; leaf value = mean of its targets.
 
-    Nodes are numbered in preorder: a node, its left subtree, its right subtree.
+    `order` is `presort(X)`, computed here when not given.  The tree grows one
+    level at a time, each level's split search taking one pass per presorted
+    column, yet the result equals a recursive search that argsorts every
+    column at every node, bit for bit.  Nodes are numbered in preorder: a
+    node, its left subtree, its right subtree.
 
     Raises:
         EmptyInputError: no rows.
-        DimensionMismatchError: X is not a 2-D matrix, or its row count differs
-            from the target length.
+        DimensionMismatchError: X is not a 2-D matrix, its row count differs
+            from the target length, or `order` is not shaped (d, n).
         NonFiniteTargetError: NaN or infinite targets.
+        NonFiniteFeatureError: NaN or infinity in X (checked only when
+            `order` is None).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -154,88 +194,134 @@ def fit_tree(X: np.ndarray, targets: np.ndarray, params: TreeParams) -> Regressi
         raise DimensionMismatchError(f"{X.shape[0]} rows but {t.size} targets")
     if not np.all(np.isfinite(t)):
         raise NonFiniteTargetError("targets contain NaN or infinity")
+    order = presort(X) if order is None else np.asarray(order)
+    if order.shape != (X.shape[1], X.shape[0]):
+        raise DimensionMismatchError(
+            f"presort has shape {order.shape}, expected {(X.shape[1], X.shape[0])}"
+        )
 
-    nodes = []  # [feature, threshold, left, right, value] per node
-    _grow(nodes, X, t, params, np.arange(X.shape[0]), depth=0)
-    feature, threshold, left, right, value = zip(*nodes)
+    # Nodes in creation order, [feature, threshold, left, right, value] each;
+    # `frontier` holds the (node, ascending row ids) pairs to search next.
+    nodes = []
+    frontier = []
+
+    def add(rows, depth):
+        node = len(nodes)
+        nodes.append([_LEAF, np.nan, _LEAF, _LEAF, np.nan])
+        if depth < params.max_depth and rows.size >= params.min_samples_split:
+            frontier.append((node, rows))
+        else:
+            nodes[node][4] = float(t[rows].mean())
+        return node
+
+    add(np.arange(X.shape[0]), 0)
+    depth = 0
+    while frontier:
+        level, frontier = frontier, []
+        depth += 1
+        splits = _best_splits(X, t, order, [rows for _, rows in level], params.min_samples_leaf)
+        for (node, rows), split in zip(level, splits):
+            if split is None:
+                nodes[node][4] = float(t[rows].mean())
+                continue
+            feature, threshold = split
+            goes_left = X[rows, feature] <= threshold
+            nodes[node][:2] = feature, threshold
+            nodes[node][2] = add(rows[goes_left], depth)
+            nodes[node][3] = add(rows[~goes_left], depth)
+    return _preorder(nodes, X.shape[1])
+
+
+def _preorder(nodes: list, n_features: int) -> RegressionTree:
+    """The tree of `nodes`, given in creation order, with preorder node ids."""
+    feature, threshold, left, right, value = (np.array(c) for c in zip(*nodes))
+    ids = []
+    stack = [0]
+    while stack:
+        node = stack.pop()
+        ids.append(node)
+        if feature[node] != _LEAF:
+            stack += [right[node], left[node]]
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[ids] = np.arange(len(ids))
+    internal = feature[ids] != _LEAF
     return RegressionTree(
-        feature=np.array(feature, dtype=np.int64),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        value=np.array(value, dtype=np.float64),
-        n_features=X.shape[1],
+        feature=feature[ids].astype(np.int64),
+        threshold=threshold[ids],
+        left=np.where(internal, rank[left[ids]], _LEAF),
+        right=np.where(internal, rank[right[ids]], _LEAF),
+        value=value[ids],
+        n_features=n_features,
     )
 
 
-def _grow(nodes: list, X, t, params: TreeParams, idx: np.ndarray, depth: int) -> int:
-    """Append the subtree over rows `idx` to `nodes` in preorder; return its root id.
+def _best_splits(X, t, order, groups, min_samples_leaf):
+    """Best (feature, threshold), or None, for each group of ascending row ids.
 
-    A module-level function rather than a closure in fit_tree: a recursive
-    closure refers to itself, so each fit's X and targets would wait for the
-    cyclic garbage collector instead of being freed on return.
+    For each feature, one stable sort of the node labels along the presorted
+    column lays every group's rows out contiguously, each group sorted by
+    value and then by row id: exactly its own stable argsort.  So every sum
+    and every tie matches a search that sorts each node on its own.  Features
+    are scanned in index order and a later one must be strictly better, so
+    ties break to the lowest feature, then the lowest threshold.  A group gets
+    None when no split improves on its SSE beyond numeric noise.
     """
-    node = len(nodes)
-    nodes.append([_LEAF, np.nan, _LEAF, _LEAF, np.nan])
-    split = None
-    if depth < params.max_depth and idx.size >= params.min_samples_split:
-        split = _best_split(X, t, idx, params.min_samples_leaf)
-    if split is None:
-        nodes[node][4] = float(t[idx].mean())
-        return node
-    feature, threshold = split
-    goes_left = X[idx, feature] <= threshold
-    nodes[node][:2] = feature, threshold
-    nodes[node][2] = _grow(nodes, X, t, params, idx[goes_left], depth + 1)
-    nodes[node][3] = _grow(nodes, X, t, params, idx[~goes_left], depth + 1)
-    return node
+    n_groups = len(groups)
+    # Rows of nodes that split no further keep label n_groups: they sort last
+    # and are cut off.
+    label = np.full(t.size, n_groups, dtype=np.min_scalar_type(n_groups))
+    for k, rows in enumerate(groups):
+        label[rows] = k
+    bounds = np.cumsum([0] + [rows.size for rows in groups])
+    sums = []
+    for rows in groups:
+        ti = t[rows]
+        total = ti.sum()
+        total_sq = (ti * ti).sum()
+        sums.append((total, total_sq, total_sq - total * total / rows.size))
 
-
-def _best_split(X, t, idx, min_samples_leaf):
-    """Exact search over every feature and every midpoint between distinct values.
-
-    Returns (feature, threshold) or None when no split improves on the parent
-    SSE beyond numeric noise.
-    """
-    n = idx.size
-    ti = t[idx]
-    total = ti.sum()
-    total_sq = (ti * ti).sum()
-    parent_sse = total_sq - total * total / n
-    tolerance = 1e-12 * max(parent_sse, 1.0)
-
-    best_sse = np.inf
-    best = None
+    best_sse = [np.inf] * n_groups
+    best = [None] * n_groups
     for f in range(X.shape[1]):
-        xs = X[idx, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        ts_sorted = ti[order]
-        boundaries = np.flatnonzero(xs_sorted[1:] != xs_sorted[:-1]) + 1
-        boundaries = boundaries[
-            (boundaries >= min_samples_leaf) & (n - boundaries >= min_samples_leaf)
-        ]
-        if boundaries.size == 0:
-            continue
-        cum = np.cumsum(ts_sorted)
-        cum_sq = np.cumsum(ts_sorted * ts_sorted)
-        left_n = boundaries
-        left_sum = cum[boundaries - 1]
-        left_sq = cum_sq[boundaries - 1]
-        right_n = n - left_n
-        right_sum = total - left_sum
-        right_sq = total_sq - left_sq
-        sse = (left_sq - left_sum * left_sum / left_n) + (
-            right_sq - right_sum * right_sum / right_n
-        )
-        j = int(np.argmin(sse))  # first minimum = lowest threshold
-        if sse[j] < best_sse:
-            best_sse = sse[j]
-            lo, hi = xs_sorted[boundaries[j] - 1], xs_sorted[boundaries[j]]
-            mid = (lo + hi) / 2.0
-            # Between adjacent doubles the midpoint can round up to hi (or
-            # overflow), which would send hi left; lo splits the same rows.
-            best = (f, mid if mid < hi else lo)
-    if best is None or best_sse >= parent_sse - tolerance:
+        column = order[f].astype(np.intp)  # an int32 index is cast at every take
+        grouped = column.take(np.argsort(label.take(column), kind="stable")[: bounds[-1]])
+        xs = X[:, f][grouped]
+        ts = t.take(grouped)
+        for k, (total, total_sq, _) in enumerate(sums):
+            lo, hi = bounds[k], bounds[k + 1]
+            found = _scan(xs[lo:hi], ts[lo:hi], total, total_sq, min_samples_leaf)
+            if found is not None and found[0] < best_sse[k]:
+                best_sse[k] = found[0]
+                best[k] = (f, found[1])
+    return [
+        None if split is None or sse >= parent_sse - 1e-12 * max(parent_sse, 1.0) else split
+        for split, sse, (_, _, parent_sse) in zip(best, best_sse, sums)
+    ]
+
+
+def _scan(xs_sorted, ts_sorted, total, total_sq, min_samples_leaf):
+    """(sse, threshold) of the best midpoint of one node's sorted column, or None."""
+    n = xs_sorted.size
+    boundaries = np.flatnonzero(xs_sorted[1:] != xs_sorted[:-1]) + 1
+    boundaries = boundaries[
+        (boundaries >= min_samples_leaf) & (n - boundaries >= min_samples_leaf)
+    ]
+    if boundaries.size == 0:
         return None
-    return best
+    cum = np.cumsum(ts_sorted)
+    cum_sq = np.cumsum(ts_sorted * ts_sorted)
+    left_n = boundaries
+    left_sum = cum[boundaries - 1]
+    left_sq = cum_sq[boundaries - 1]
+    right_n = n - left_n
+    right_sum = total - left_sum
+    right_sq = total_sq - left_sq
+    sse = (left_sq - left_sum * left_sum / left_n) + (
+        right_sq - right_sum * right_sum / right_n
+    )
+    j = int(np.argmin(sse))  # first minimum = lowest threshold
+    lo, hi = xs_sorted[boundaries[j] - 1], xs_sorted[boundaries[j]]
+    mid = (lo + hi) / 2.0
+    # Between adjacent doubles the midpoint can round up to hi (or overflow),
+    # which would send hi left; lo splits the same rows.
+    return sse[j], (mid if mid < hi else lo)

@@ -83,6 +83,11 @@ class TestPrior:
         with pytest.raises(NonFiniteFeatureError):
             fit_gbc(fm, quick_params())
 
+    def test_non_finite_features_reported_before_single_class(self):
+        fm = make_matrix([[0.0], [np.nan]], [1, 1])
+        with pytest.raises(NonFiniteFeatureError):
+            fit_gbc(fm, quick_params())
+
 
 class TestScores:
     def test_sign_matches_label_rule(self, separable):

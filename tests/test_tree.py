@@ -7,9 +7,10 @@ from hypothesis.extra.numpy import arrays
 from delayboost.errors import (
     DimensionMismatchError,
     EmptyInputError,
+    NonFiniteFeatureError,
     NonFiniteTargetError,
 )
-from delayboost.tree import RegressionTree, TreeParams, fit_tree
+from delayboost.tree import RegressionTree, TreeParams, fit_tree, presort
 
 
 def brute_force_root_split(X, t, min_samples_leaf=1):
@@ -34,6 +35,86 @@ def brute_force_root_split(X, t, min_samples_leaf=1):
             )
             if best is None or sse < best[0] - 1e-15:
                 best = (sse, f, threshold)
+    return best
+
+
+def reference_fit(X, t, params):
+    """The tree grown recursively, argsorting every column again at every node.
+
+    The straightforward search `fit_tree` must reproduce bit for bit.  Returns
+    the five node arrays (feature, threshold, left, right, value) in preorder.
+    """
+    X = np.asarray(X, dtype=float)
+    t = np.asarray(t, dtype=float)
+    nodes = []
+    _reference_grow(nodes, X, t, params, np.arange(X.shape[0]), depth=0)
+    feature, threshold, left, right, value = zip(*nodes)
+    return (
+        np.array(feature, dtype=np.int64),
+        np.array(threshold, dtype=np.float64),
+        np.array(left, dtype=np.int64),
+        np.array(right, dtype=np.int64),
+        np.array(value, dtype=np.float64),
+    )
+
+
+def _reference_grow(nodes, X, t, params, idx, depth):
+    node = len(nodes)
+    nodes.append([-1, np.nan, -1, -1, np.nan])
+    split = None
+    if depth < params.max_depth and idx.size >= params.min_samples_split:
+        split = _reference_best_split(X, t, idx, params.min_samples_leaf)
+    if split is None:
+        nodes[node][4] = float(t[idx].mean())
+        return node
+    feature, threshold = split
+    goes_left = X[idx, feature] <= threshold
+    nodes[node][:2] = feature, threshold
+    nodes[node][2] = _reference_grow(nodes, X, t, params, idx[goes_left], depth + 1)
+    nodes[node][3] = _reference_grow(nodes, X, t, params, idx[~goes_left], depth + 1)
+    return node
+
+
+def _reference_best_split(X, t, idx, min_samples_leaf):
+    n = idx.size
+    ti = t[idx]
+    total = ti.sum()
+    total_sq = (ti * ti).sum()
+    parent_sse = total_sq - total * total / n
+    tolerance = 1e-12 * max(parent_sse, 1.0)
+
+    best_sse = np.inf
+    best = None
+    for f in range(X.shape[1]):
+        xs = X[idx, f]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        ts_sorted = ti[order]
+        boundaries = np.flatnonzero(xs_sorted[1:] != xs_sorted[:-1]) + 1
+        boundaries = boundaries[
+            (boundaries >= min_samples_leaf) & (n - boundaries >= min_samples_leaf)
+        ]
+        if boundaries.size == 0:
+            continue
+        cum = np.cumsum(ts_sorted)
+        cum_sq = np.cumsum(ts_sorted * ts_sorted)
+        left_n = boundaries
+        left_sum = cum[boundaries - 1]
+        left_sq = cum_sq[boundaries - 1]
+        right_n = n - left_n
+        right_sum = total - left_sum
+        right_sq = total_sq - left_sq
+        sse = (left_sq - left_sum * left_sum / left_n) + (
+            right_sq - right_sum * right_sum / right_n
+        )
+        j = int(np.argmin(sse))
+        if sse[j] < best_sse:
+            best_sse = sse[j]
+            lo, hi = xs_sorted[boundaries[j] - 1], xs_sorted[boundaries[j]]
+            mid = (lo + hi) / 2.0
+            best = (f, mid if mid < hi else lo)
+    if best is None or best_sse >= parent_sse - tolerance:
+        return None
     return best
 
 
@@ -275,6 +356,64 @@ class TestSplitOracleProperty:
         assert oracle is not None
         assert np.bincount(tree.apply(X), minlength=3)[1:].min() >= k
         assert achieved_root_sse(tree, X, t) == pytest.approx(oracle[0], rel=1e-9, abs=1e-9)
+
+
+@st.composite
+def _tree_inputs(draw):
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 4))
+    tied = draw(st.booleans())
+    element = st.integers(-3, 3).map(float) if tied else st.floats(-5.0, 5.0)
+    X = draw(arrays(np.float64, (n, d), elements=element))
+    t = draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    params = TreeParams(
+        max_depth=draw(st.integers(0, 6)),
+        min_samples_split=draw(st.integers(2, 6)),
+        min_samples_leaf=draw(st.integers(1, 4)),
+    )
+    return X, t, params
+
+
+class TestWholeTreeOracleProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_tree_inputs())
+    def test_node_arrays_equal_the_per_node_argsort_tree(self, inputs):
+        X, t, params = inputs
+        tree = fit_tree(X, t, params)
+        got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        for a, b in zip(got, reference_fit(X, t, params)):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+
+
+class TestPresort:
+    def test_is_the_stable_argsort_of_every_column(self):
+        rng = np.random.default_rng(31)
+        X = rng.integers(0, 3, size=(50, 4)).astype(float)  # many ties
+        order = presort(X)
+        assert order.dtype == np.int32
+        assert np.array_equal(order, np.argsort(X, axis=0, kind="stable").T)
+
+    def test_given_order_gives_the_same_tree(self):
+        rng = np.random.default_rng(37)
+        X = np.column_stack([rng.normal(size=80), rng.integers(0, 4, size=80)])
+        t = rng.normal(size=80)
+        params = TreeParams(max_depth=4)
+        assert fit_tree(X, t, params, order=presort(X)).to_doc() == fit_tree(X, t, params).to_doc()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (2,), (1, 3, 2)])
+    def test_misshapen_order_rejected(self, shape):
+        X = np.arange(6.0).reshape(3, 2)  # presort(X) has shape (2, 3)
+        with pytest.raises(DimensionMismatchError):
+            fit_tree(X, [0.0, 1.0, 1.0], TreeParams(), order=np.zeros(shape, dtype=np.int32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        X = [[1.0], [2.0], [bad], [4.0]]
+        with pytest.raises(NonFiniteFeatureError):
+            presort(X)
+        with pytest.raises(NonFiniteFeatureError):
+            fit_tree(X, [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
 
 
 class TestSerialization:
