@@ -459,10 +459,20 @@ def _write_json(doc, path):
 
 
 def _write_matrix(fm: encode.FeatureMatrix, path):
+    """Write fm as CSV, each cell as `repr(float)` and the label as an int.
+
+    Each column's distinct values are formatted once.  They are keyed on
+    their bit pattern, not their value, so -0.0 keeps its sign.
+    """
+    columns = []
+    for column in fm.values.T:
+        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+        columns.append(text[inverse].tolist())
+    columns.append([f"{label}\n" for label in fm.labels.tolist()])
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(fm.column_names) + f",{fm.plan.label_name}\n")
-        for row, label in zip(fm.values.tolist(), fm.labels.tolist()):
-            fh.write(",".join(map(repr, row)) + f",{label}\n")
+        fh.writelines(map(",".join, zip(*columns)))
 
 
 def _parse_grid(text: str) -> tune.Grid:

@@ -24,6 +24,13 @@ b == a, then for j = 1..k draw t_j then u_j.  Index draws exclude the current
 row by sampling an integer c in [0, m-1) and skipping over the row's own
 position (a = c if c < position else c + 1).  This fixed sequential order
 makes the output a pure function of (matrix, config).
+
+The per-row Python loop only makes these draws and records them (they are
+the `SmoteTrace`).  The two interpolations then run over blocks of a few
+thousand synthetic rows, written straight into the preallocated output
+matrix: the same element-wise expressions on the same operands, so every
+bit matches a row-at-a-time loop, and no full-size temporary of the
+synthetic rows is held.
 """
 
 from __future__ import annotations
@@ -34,6 +41,10 @@ import numpy as np
 
 from .encode import FeatureMatrix
 from .errors import InvalidPercentError, MinorityTooSmallError
+
+# Synthetic rows interpolated per block: small enough that a block's
+# temporaries stay in cache, large enough that the Python loop is cheap.
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -100,38 +111,36 @@ def random_smote_with_trace(fm: FeatureMatrix, cfg: SmoteConfig):
         raise MinorityTooSmallError(f"minority class has {m} rows, need at least 3")
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    minority = fm.values[minority_idx]
-
-    synth = np.empty((m * k, fm.values.shape[1]), dtype=np.float64)
-    seed_rows = np.empty(m * k, dtype=np.int64)
-    firsts = np.empty(m * k, dtype=np.int64)
-    seconds = np.empty(m * k, dtype=np.int64)
-    ts = np.empty(m * k)
-    us = np.empty(m * k)
-
-    row = 0
+    firsts = np.empty(m, dtype=np.int64)
+    seconds = np.empty(m, dtype=np.int64)
+    draws = np.empty((m, 2 * k))
     for pos in range(m):
         a = _draw_excluding(rng, m, pos)
         b = _draw_excluding(rng, m, pos)
         while b == a:
             b = _draw_excluding(rng, m, pos)
-        draws = rng.random(2 * k).reshape(k, 2)
-        t, u = draws[:, 0], draws[:, 1]
-        x_i, x_a, x_b = minority[pos], minority[a], minority[b]
-        y = x_a + t[:, None] * (x_b - x_a)
-        synth[row : row + k] = x_i + u[:, None] * (y - x_i)
-        seed_rows[row : row + k] = minority_idx[pos]
-        firsts[row : row + k] = minority_idx[a]
-        seconds[row : row + k] = minority_idx[b]
-        ts[row : row + k] = t
-        us[row : row + k] = u
-        row += k
+        firsts[pos], seconds[pos] = a, b
+        draws[pos] = rng.random(2 * k)
+    trace = SmoteTrace(
+        seed_row=np.repeat(minority_idx, k),
+        first=np.repeat(minority_idx[firsts], k),
+        second=np.repeat(minority_idx[seconds], k),
+        t=draws[:, 0::2].ravel(),
+        u=draws[:, 1::2].ravel(),
+    )
 
-    values = np.vstack([fm.values, synth])
+    n = fm.n_rows
+    values = np.empty((n + m * k, fm.n_features))
+    values[:n] = fm.values
+    for lo in range(0, m * k, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        x_i = fm.values[trace.seed_row[block]]
+        x_a = fm.values[trace.first[block]]
+        x_b = fm.values[trace.second[block]]
+        y = x_a + trace.t[block, None] * (x_b - x_a)
+        values[n:][block] = x_i + trace.u[block, None] * (y - x_i)
     labels = np.concatenate([fm.labels, np.full(m * k, minority_label, dtype=np.int64)])
-    out = replace(fm, values=values, labels=labels)
-    trace = SmoteTrace(seed_row=seed_rows, first=firsts, second=seconds, t=ts, u=us)
-    return out, trace
+    return replace(fm, values=values, labels=labels), trace
 
 
 def _minority_label(labels: np.ndarray) -> int:

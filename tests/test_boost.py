@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_matrix, separable_matrix
+from delayboost import boost
 from delayboost.boost import (
     BoostParams,
     decision_function,
@@ -113,6 +114,31 @@ class TestScores:
         with pytest.raises(DimensionMismatchError):
             predict_proba(model, separable.values[0])
         assert predict_proba(model, separable.values[:1]).shape == (1,)
+
+
+class TestBlockedScoring:
+    """decision_function scores row blocks; the bits must not depend on it."""
+
+    BLOCK = 8
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        model, _ = fit_gbc(separable_matrix(n=120, seed=5), quick_params(estimators=12, depth=3))
+        return model
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_equals_the_last_staged_score(self, model, monkeypatch, n):
+        X = np.random.default_rng(n).normal(scale=2.0, size=(n, 2))
+        for whole in staged_scores(model, X):
+            pass
+        monkeypatch.setattr(boost, "_BLOCK_ROWS", self.BLOCK)
+        scores = decision_function(model, X)
+        assert scores.shape == (n,) and scores.dtype == np.float64
+        assert scores.tobytes() == whole.tobytes()
+        assert predict_proba(model, X).tobytes() == sigmoid(whole).tobytes()
+        for threshold in (0.3, 0.5):
+            labels = predict_label(model, X, threshold)
+            assert labels.tobytes() == label_scores(whole, threshold).tobytes()
 
 
 class TestPredictLabel:

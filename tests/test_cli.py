@@ -116,6 +116,36 @@ class TestPipeline:
         assert values.view(np.uint64).tolist() == expected.values.view(np.uint64).tolist()
         assert labels.tolist() == expected.labels.tolist()
 
+    def test_balance_writes_each_cell_as_its_repr(self, workspace):
+        # A "-0" departure time must come out as "-0.0", and a "0" as "0.0".
+        data = (workspace / "data.csv").read_text().splitlines()
+        col = data[0].split(",").index("CRS_Departure_Time")
+        for i, cell in ((1, "-0"), (2, "0"), (3, "-0")):
+            cells = data[i].split(",")
+            cells[col] = cell
+            data[i] = ",".join(cells)
+        (workspace / "data.csv").write_text("\n".join(data) + "\n")
+        assert run(
+            "balance", "--input", workspace / "data.csv",
+            "--schema", workspace / "schema.json",
+            "--smote-percent", 300, "--seed", 2,
+            "--out", workspace / "balanced.csv",
+        ) == 0
+        schema = db.Schema.from_json((workspace / "schema.json").read_text())
+        ds = db.load_csv(workspace / "data.csv", schema)
+        expected = db.random_smote(
+            db.apply_encoding(ds, db.fit_encoding(ds)),
+            db.SmoteConfig(300, seed=stage_seed(2, SMOTE_STAGE)),
+        )
+        lines = [",".join([*expected.column_names, "Arr_Del_15"]) + "\n"]
+        for row, label in zip(expected.values.tolist(), expected.labels.tolist()):
+            lines.append(",".join(map(repr, row)) + f",{label}\n")
+        written = (workspace / "balanced.csv").read_text()
+        assert written == "".join(lines)
+        col = expected.column_names.index("CRS_Departure_Time")
+        cells = [line.split(",")[col] for line in written.splitlines()[1:4]]
+        assert cells == ["-0.0", "0.0", "-0.0"]
+
     def test_train_evaluate_predict(self, workspace, capsys):
         assert run(*train_args(workspace)) == 0
         report = json.loads((workspace / "report.json").read_text())

@@ -5,13 +5,61 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_matrix
+from delayboost import resample
 from delayboost.errors import InvalidPercentError, MinorityTooSmallError
 from delayboost.resample import (
     SmoteConfig,
+    SmoteTrace,
     random_smote,
     random_smote_with_trace,
     synthesize_point,
 )
+
+TRACE_FIELDS = ("seed_row", "first", "second", "t", "u")
+
+
+def reference_smote(fm, cfg):
+    """SMOTE one minority row at a time: draws and arithmetic in one loop.
+
+    The straightforward form of the RNG contract that `random_smote_with_trace`
+    must reproduce bit for bit.  Returns (values, labels, trace).
+    """
+    k = cfg.k
+    minority_label = resample._minority_label(fm.labels)
+    minority_idx = np.flatnonzero(fm.labels == minority_label)
+    m = minority_idx.size
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    minority = fm.values[minority_idx]
+
+    synth = np.empty((m * k, fm.values.shape[1]), dtype=np.float64)
+    seed_rows = np.empty(m * k, dtype=np.int64)
+    firsts = np.empty(m * k, dtype=np.int64)
+    seconds = np.empty(m * k, dtype=np.int64)
+    ts = np.empty(m * k)
+    us = np.empty(m * k)
+
+    row = 0
+    for pos in range(m):
+        a = resample._draw_excluding(rng, m, pos)
+        b = resample._draw_excluding(rng, m, pos)
+        while b == a:
+            b = resample._draw_excluding(rng, m, pos)
+        draws = rng.random(2 * k).reshape(k, 2)
+        t, u = draws[:, 0], draws[:, 1]
+        x_i, x_a, x_b = minority[pos], minority[a], minority[b]
+        y = x_a + t[:, None] * (x_b - x_a)
+        synth[row : row + k] = x_i + u[:, None] * (y - x_i)
+        seed_rows[row : row + k] = minority_idx[pos]
+        firsts[row : row + k] = minority_idx[a]
+        seconds[row : row + k] = minority_idx[b]
+        ts[row : row + k] = t
+        us[row : row + k] = u
+        row += k
+
+    values = np.vstack([fm.values, synth])
+    labels = np.concatenate([fm.labels, np.full(m * k, minority_label, dtype=np.int64)])
+    trace = SmoteTrace(seed_row=seed_rows, first=firsts, second=seconds, t=ts, u=us)
+    return values, labels, trace
 
 
 def imbalanced(n_min=5, n_maj=12, n_features=3, seed=0):
@@ -170,3 +218,61 @@ class TestGeometryProperty:
             scale = np.abs(xi) + np.abs(xa) + np.abs(xb)
             tol = 16 * (np.finfo(float).eps * scale + np.finfo(float).smallest_subnormal)
             assert np.all(np.abs(synth[r] - combo) <= tol)
+
+
+@st.composite
+def _reference_inputs(draw):
+    n_min = draw(st.integers(3, 12))
+    n_maj = draw(st.integers(n_min, n_min + 12))
+    d = draw(st.integers(1, 5))
+    tied = draw(st.booleans())
+    element = st.integers(-2, 2).map(float) if tied else st.floats(-1e6, 1e6)
+    X = draw(arrays(np.float64, (n_min + n_maj, d), elements=element))
+    minority_label = draw(st.integers(0, 1))
+    y = np.array([minority_label] * n_min + [1 - minority_label] * n_maj)
+    y = y[draw(st.permutations(range(y.size)))]
+    cfg = SmoteConfig(100 * draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32 - 1)))
+    block = draw(st.integers(1, 2 * n_min * cfg.k + 1))
+    return make_matrix(X, y), cfg, block
+
+
+class TestReferenceProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_reference_inputs())
+    def test_equals_the_row_at_a_time_loop(self, inputs):
+        fm, cfg, block = inputs
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(resample, "_BLOCK_ROWS", block)  # blocks of 1 row up to one block
+            out, trace = random_smote_with_trace(fm, cfg)
+        values, labels, expected = reference_smote(fm, cfg)
+        assert out.values.shape == values.shape
+        assert out.values.tobytes() == values.tobytes()
+        assert out.labels.dtype == labels.dtype and out.labels.tobytes() == labels.tobytes()
+        for name in TRACE_FIELDS:
+            got, want = getattr(trace, name), getattr(expected, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def test_three_minority_rows_redraw_b(self, monkeypatch):
+        # With m = 3, b equals a half the time, so b is redrawn.
+        fm = imbalanced(n_min=3, n_maj=5, n_features=2, seed=4)
+        cfg = SmoteConfig(400, seed=2)
+        calls = []
+        draw = resample._draw_excluding
+        monkeypatch.setattr(resample, "_draw_excluding",
+                            lambda *args: calls.append(args) or draw(*args))
+        out, trace = random_smote_with_trace(fm, cfg)
+        monkeypatch.undo()
+        assert len(calls) > 2 * 3
+        values, labels, expected = reference_smote(fm, cfg)
+        assert out.values.tobytes() == values.tobytes()
+        for name in TRACE_FIELDS:
+            assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes()
+
+    def test_block_size_does_not_change_the_bits(self, monkeypatch):
+        fm = imbalanced(n_min=40, n_maj=60, n_features=5, seed=12)
+        cfg = SmoteConfig(300, seed=21)
+        whole, _ = random_smote_with_trace(fm, cfg)
+        for block in (1, 7, 119, 120, 121):  # 40 * 3 = 120 synthetic rows
+            monkeypatch.setattr(resample, "_BLOCK_ROWS", block)
+            out, _ = random_smote_with_trace(fm, cfg)
+            assert out.values.tobytes() == whole.values.tobytes()
