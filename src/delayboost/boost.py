@@ -18,10 +18,11 @@ sigmoid(f_M(x)) is the delay probability.  Scoring takes an (n, n_features)
 matrix only; a single row is a (1, n_features) matrix.  One loop adds the
 trees up: `staged_scores` yields f_0, f_1, ..., f_M in turn, updating one
 array in place, so a caller reads (or copies) each value before it asks for
-the next.  `decision_function` is its last value, computed per row block,
-and `staged_deviance` the deviance of each.  Every label in the package
-comes from one rule, `label_scores`: 1 iff sigmoid(score) >= the threshold,
-which must lie in (0, 1).
+the next.  `decision_function` is its last value, computed per row block
+(each block copied column-major once, so every tree's level-wise routing
+reads contiguous columns), and `staged_deviance` the deviance of each.
+Every label in the package comes from one rule, `label_scores`: 1 iff
+sigmoid(score) >= the threshold, which must lie in (0, 1).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .tree import RegressionTree, TreeParams, _check_matrix, fit_tree, presort
 
 _NEWTON_GUARD = 1e-12
 # Rows scored per block by `decision_function`: 16k rows of 26 features are
-# ~3.4 MB, which stay in cache while every tree is added.
+# ~3.4 MB, copied column-major once and kept in cache while every tree is added.
 _BLOCK_ROWS = 16384
 
 
@@ -175,15 +176,16 @@ def decision_function(model: BoostedModel, x) -> np.ndarray:
     """Raw additive score f_M(x) for every row of the (n, n_features) matrix x.
 
     Positive means the predicted delay probability exceeds 0.5.  It is the
-    last value of `staged_scores`, computed one row block at a time so that
-    the block stays in cache across all M trees; each row gets the same
-    additions in the same order, so the bits do not depend on the blocking.
+    last value of `staged_scores`, computed one row block at a time: each
+    block is copied column-major once and stays in cache across all M trees.
+    Each row gets the same additions in the same order, so the bits depend
+    on neither the blocking nor the layout of x.
     """
     X = _check_matrix(x, model.n_features)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        for scores in staged_scores(model, X[block]):
+        for scores in staged_scores(model, np.asfortranarray(X[block])):
             pass
         out[block] = scores
     return out

@@ -341,8 +341,8 @@ def cmd_predict(args):
     labels = boost.label_scores(scores, args.threshold)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("predicted_label,probability,decision_score\n")
-        for lab, p, s in zip(labels, probas, scores):
-            fh.write(f"{int(lab)},{float(p)!r},{float(s)!r}\n")
+        fh.writelines(map("{},{!r},{!r}\n".format,
+                          labels.tolist(), probas.tolist(), scores.tolist()))
     if fm.unseen_categories:
         print(f"warning: {fm.unseen_categories} cells held categories unseen "
               f"at training time", file=sys.stderr)

@@ -16,11 +16,20 @@ contiguously, each in its own sorted order, and one pass scans them all.
 
 Nodes live in flat parallel arrays (feature, threshold, left, right, value),
 numbered in preorder; leaves have feature -1.
+
+`apply` routes all rows one level at a time.  Each tree builds routing tables
+once, on first use: leaves loop to themselves (feature 0, threshold +inf,
+both children the leaf), and the children are interleaved so that
+`kids[2 * node + goes_left]` is the next node.  A pass then gathers every
+row's value at its node's feature from the matrix's flat buffer, compares it
+with the node's threshold and gathers the child; `depth` passes bring every
+row to its leaf.  The tables hold no leaf values and are never serialized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -88,20 +97,44 @@ class RegressionTree:
                 depths[self.right[node]] = depths[node] + 1
         return int(depths.max())
 
+    @cached_property
+    def _routing(self):
+        """(feature, threshold, kids, depth): `apply`'s tables, built once per tree."""
+        leaf = self.feature == _LEAF
+        nodes = np.arange(self.n_nodes)
+        kids = np.empty(2 * self.n_nodes, dtype=np.intp)
+        kids[0::2] = np.where(leaf, nodes, self.right)
+        kids[1::2] = np.where(leaf, nodes, self.left)
+        feature = np.where(leaf, 0, self.feature).astype(np.intp)
+        return feature, np.where(leaf, np.inf, self.threshold), kids, self.depth
+
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf node id for every row of X."""
+        """Leaf node id (int64) for every row of X; x <= threshold goes left, NaN right.
+
+        One pass per level: the root compares its column, and each later pass
+        gathers every row's value at its node's feature straight from X's
+        flat buffer, so a C- or F-ordered X is read in place (any other
+        layout is copied once).  `decision_function` passes column-major
+        blocks, whose gathers read contiguous columns; `fit_gbc` passes its
+        C-ordered training matrix, which a copy per round would enlarge.
+        """
         X = _check_matrix(X, self.n_features)
-        out = np.zeros(X.shape[0], dtype=np.int64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            if self.feature[node] == _LEAF:
-                out[idx] = node
-                continue
-            goes_left = X[idx, self.feature[node]] <= self.threshold[node]
-            stack.append((int(self.left[node]), idx[goes_left]))
-            stack.append((int(self.right[node]), idx[~goes_left]))
-        return out
+        feature, threshold, kids, depth = self._routing
+        n = X.shape[0]
+        if depth == 0:
+            return np.zeros(n, dtype=np.int64)
+        node = kids.take(X[:, feature[0]] <= threshold[0])
+        if X.flags.f_contiguous:
+            flat, row_step, column_step = X.ravel(order="F"), 1, n
+        else:
+            X = np.ascontiguousarray(X)
+            flat, row_step, column_step = X.ravel(), X.shape[1], 1
+        rows = np.arange(0, n * row_step, row_step)
+        offset = feature * column_step
+        for _ in range(depth - 1):
+            goes_left = flat.take(offset.take(node) + rows) <= threshold.take(node)
+            node = kids.take(2 * node + goes_left)
+        return node.astype(np.int64, copy=False)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.value[self.apply(X)]
@@ -130,6 +163,8 @@ class RegressionTree:
         value = np.array([np.nan if v is None else float(v) for v in doc["value"]])
         if not (threshold.size == left.size == right.size == value.size == n):
             raise ValueError("node arrays have inconsistent lengths")
+        # every node but the root has exactly one parent, so the nodes form one tree
+        has_parent = np.zeros(n, dtype=bool)
         for node in range(n):
             if feature[node] == _LEAF:
                 if left[node] != _LEAF or right[node] != _LEAF or np.isnan(value[node]):
@@ -140,8 +175,13 @@ class RegressionTree:
                 for child in (left[node], right[node]):
                     if not node < child < n:
                         raise ValueError(f"node {node} has invalid child {child}")
+                    if has_parent[child]:
+                        raise ValueError(f"node {child} has two parents")
+                    has_parent[child] = True
                 if np.isnan(threshold[node]):
                     raise ValueError(f"node {node} missing threshold")
+        if not has_parent[1:].all():
+            raise ValueError(f"node {1 + np.argmin(has_parent[1:])} is unreachable from the root")
         return cls(feature, threshold, left, right, value, int(doc["n_features"]))
 
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from delayboost.errors import (
     NonFiniteFeatureError,
     SingleClassTrainingError,
 )
+from delayboost.model_io import load_model, save_model
 from delayboost.tree import TreeParams
 
 
@@ -139,6 +141,34 @@ class TestBlockedScoring:
         for threshold in (0.3, 0.5):
             labels = predict_label(model, X, threshold)
             assert labels.tobytes() == label_scores(whole, threshold).tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, BLOCK + 1, 3 * BLOCK + 5])
+    def test_layout_and_reload_do_not_change_the_bits(self, model, monkeypatch, tmp_path, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(scale=2.0, size=(2 * n, 2))
+        X[rng.random(X.shape) < 0.05] = np.nan  # NaN routes right at every split
+        want = decision_function(model, np.ascontiguousarray(X[::2]))
+        save_model(model, tmp_path / "model.json")
+        reloaded, _ = load_model(tmp_path / "model.json")
+        monkeypatch.setattr(boost, "_BLOCK_ROWS", self.BLOCK)
+        for rows in (X[::2], np.asfortranarray(X[::2]), np.asfortranarray(X)[::2]):
+            for m in (model, reloaded):
+                assert decision_function(m, rows).tobytes() == want.tobytes()
+
+    def test_replaced_leaf_values_are_the_ones_predicted(self, model):
+        # fit_gbc stores replace(tree, value=newton_values): the copy must
+        # route as the tree did and predict from its own values.
+        tree = model.trees[0]
+        X = np.random.default_rng(3).normal(scale=2.0, size=(50, 2))
+        leaf = tree.apply(X)
+        values = np.where(tree.feature == -1, np.arange(tree.n_nodes) + 0.5, np.nan)
+        moved = replace(tree, value=values)
+        assert moved.apply(X).tobytes() == leaf.tobytes()
+        assert moved.predict(X).tobytes() == values[leaf].tobytes()
+        assert tree.predict(X).tobytes() == tree.value[leaf].tobytes()
+        for t in (tree, moved):  # routed above, yet only the node arrays are written
+            assert set(t.to_doc()) == {"feature", "threshold", "left", "right", "value", "n_features"}
+        assert moved.to_doc()["value"] == [None if np.isnan(v) else v for v in values]
 
 
 class TestPredictLabel:

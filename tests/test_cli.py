@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import delayboost as db
-from delayboost.cli import SMOTE_STAGE, main, stage_seed
+from delayboost.cli import SMOTE_STAGE, _load_with_plan, main, stage_seed
 
 
 def run(*argv):
@@ -174,6 +174,24 @@ class TestPipeline:
         first = lines[1].split(",")
         assert first[0] in ("0", "1")
         assert 0.0 <= float(first[1]) <= 1.0
+
+    def test_predict_rows_equal_a_row_by_row_writer(self, workspace):
+        assert run(*train_args(workspace)) == 0
+        assert run(
+            "predict", "--model", workspace / "model.json",
+            "--input", workspace / "data.csv",
+            "--out", workspace / "preds.csv", "--threshold", 0.4,
+        ) == 0
+        model, _ = db.load_model(workspace / "model.json")
+        _, fm = _load_with_plan(workspace / "data.csv", model, labelled=False)
+        scores = db.decision_function(model, fm.values)
+        probas = db.sigmoid(scores)
+        labels = db.label_scores(scores, 0.4)
+        rows = "".join(
+            f"{int(lab)},{float(p)!r},{float(s)!r}\n" for lab, p, s in zip(labels, probas, scores)
+        )
+        expected = "predicted_label,probability,decision_score\n" + rows
+        assert (workspace / "preds.csv").read_text(encoding="utf-8") == expected
 
     def test_predict_without_label_column(self, workspace):
         assert run(*train_args(workspace)) == 0

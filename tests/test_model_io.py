@@ -94,6 +94,17 @@ class TestValidation:
         with pytest.raises(CorruptModelError):
             load_model(path)
 
+    def test_tree_with_a_shared_child(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        tree = doc["trees"][0]
+        tree["right"][0] = tree["left"][0]  # the root's children are one node
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModelError):
+            load_model(path)
+
     @pytest.mark.parametrize("tamper", ["tree", "model"])
     def test_width_mismatch(self, trained, tmp_path, tamper):
         model, _ = trained

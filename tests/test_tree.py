@@ -118,6 +118,26 @@ def _reference_best_split(X, t, idx, min_samples_leaf):
     return best
 
 
+def reference_apply(tree, X):
+    """Leaf ids routed one node at a time with a stack of (node, row ids).
+
+    The straightforward router the level-wise `apply` must reproduce, in
+    dtype and bytes.
+    """
+    X = np.asarray(X, dtype=float)
+    out = np.zeros(X.shape[0], dtype=np.int64)
+    stack = [(0, np.arange(X.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        if tree.feature[node] == -1:
+            out[idx] = node
+            continue
+        goes_left = X[idx, tree.feature[node]] <= tree.threshold[node]
+        stack.append((int(tree.left[node]), idx[goes_left]))
+        stack.append((int(tree.right[node]), idx[~goes_left]))
+    return out
+
+
 def achieved_root_sse(tree, X, t):
     left = t[X[:, tree.feature[0]] <= tree.threshold[0]]
     right = t[X[:, tree.feature[0]] > tree.threshold[0]]
@@ -286,10 +306,12 @@ class TestOracle:
         assert t1.to_doc() == t2.to_doc()
 
 
+# small integers give ties; the floats give distinct values
+_VALUES = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
+
+
 def _cells(n, d):
-    # small integers give ties; the floats give distinct values
-    element = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
-    return arrays(np.float64, (n, d), elements=element)
+    return arrays(np.float64, (n, d), elements=_VALUES)
 
 
 @st.composite
@@ -328,6 +350,70 @@ class TestRoutingProperty:
                 node = up
             assert node == 0
             assert tree.predict(x[None, :])[0] == tree.value[leaf[r]]
+
+
+@st.composite
+def _hand_built_tree(draw):
+    """A random, often unbalanced, tree of depth <= 7 loaded through `from_doc`."""
+    d = draw(st.integers(1, 4))
+    nodes = []
+
+    def grow(depth):
+        node = len(nodes)
+        nodes.append(None)
+        if depth < 7 and draw(st.booleans()):
+            feature, threshold = draw(st.integers(0, d - 1)), draw(_VALUES)
+            nodes[node] = [feature, threshold, grow(depth + 1), grow(depth + 1), None]
+        else:
+            nodes[node] = [-1, None, -1, -1, draw(st.floats(-5.0, 5.0))]
+        return node
+
+    grow(0)
+    keys = ("feature", "threshold", "left", "right", "value")
+    doc = dict(zip(keys, map(list, zip(*nodes))), n_features=d)
+    return RegressionTree.from_doc(doc)
+
+
+@st.composite
+def _routing_inputs(draw):
+    """A fitted (depth 0-6) or hand-built tree, and rows to route through it.
+
+    The rows hold NaN, +-inf, small integers (ties with integer thresholds)
+    and one probe per internal node sitting exactly on its threshold.
+    """
+    if draw(st.booleans()):
+        X, t, params = draw(_tree_inputs())
+        tree = fit_tree(X, t, params)
+    else:
+        tree = draw(_hand_built_tree())
+    element = st.one_of(
+        _VALUES, st.sampled_from([np.nan, np.inf, -np.inf]), st.floats(-1e308, 1e308)
+    )
+    rows = draw(arrays(np.float64, (draw(st.integers(0, 30)), tree.n_features), elements=element))
+    probes = []
+    for node in np.flatnonzero(tree.feature != -1):
+        probe = rows[0].copy() if rows.shape[0] else np.zeros(tree.n_features)
+        probe[tree.feature[node]] = tree.threshold[node]
+        probes.append(probe)
+    return tree, np.vstack([rows, *probes])
+
+
+class TestLevelWiseRouting:
+    @settings(max_examples=200, deadline=None)
+    @given(_routing_inputs())
+    def test_equals_the_stack_router_in_every_layout(self, inputs):
+        tree, X = inputs
+        layouts = {
+            "C": np.ascontiguousarray(X),
+            "F": np.asfortranarray(X),
+            "strided rows": X[::2],
+            "strided F rows": np.asfortranarray(X)[::2],
+            "no rows": X[:0],
+        }
+        for name, rows in layouts.items():
+            got, want = tree.apply(rows), reference_apply(tree, rows)
+            assert got.dtype == want.dtype == np.int64, name
+            assert got.tobytes() == want.tobytes(), name
 
 
 @st.composite
@@ -434,6 +520,32 @@ class TestSerialization:
         bad = dict(doc, value=doc["value"][:-1])
         with pytest.raises(ValueError):
             RegressionTree.from_doc(bad)
+
+    @pytest.mark.parametrize(
+        "left, right, problem",
+        [
+            # node 3 is a child of both 1 and 2, node 5 of both 2 and 4
+            ([1, 2, 5, -1, 5, 7, -1, -1, -1], [4, 3, 3, -1, 6, 8, -1, -1, -1], "node 3 has two parents"),
+            # node 2 is both children of node 1
+            ([1, 2, -1, -1, -1], [4, 2, -1, -1, -1], "node 2 has two parents"),
+            # no node points at leaf 3
+            ([1, -1, -1, -1], [2, -1, -1, -1], "node 3 is unreachable"),
+        ],
+    )
+    def test_rejects_nodes_that_are_not_one_tree(self, left, right, problem):
+        # fit_tree never writes these; routing would need more passes than
+        # `depth` counts, or would skip nodes
+        split = [child != -1 for child in left]
+        doc = {
+            "feature": [0 if s else -1 for s in split],
+            "threshold": [float(node) if s else None for node, s in enumerate(split)],
+            "left": left,
+            "right": right,
+            "value": [None if s else float(node) for node, s in enumerate(split)],
+            "n_features": 1,
+        }
+        with pytest.raises(ValueError, match=problem):
+            RegressionTree.from_doc(doc)
 
     def test_params_validation(self):
         with pytest.raises(ValueError):
