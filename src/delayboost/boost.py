@@ -18,9 +18,9 @@ sigmoid(f_M(x)) is the delay probability.  Scoring takes an (n, n_features)
 matrix only; a single row is a (1, n_features) matrix.  One loop adds the
 trees up: `staged_scores` yields f_0, f_1, ..., f_M in turn, updating one
 array in place, so a caller reads (or copies) each value before it asks for
-the next.  `decision_function` is its last value, computed per row block
-(each block copied column-major once, so every tree's level-wise routing
-reads contiguous columns), and `staged_deviance` the deviance of each.
+the next.  It copies its matrix column-major once, the layout every tree's
+level-wise routing reads.  `decision_function` is its last value, computed
+per cache-sized row block, and `staged_deviance` the deviance of each.
 Every label in the package comes from one rule, `label_scores`: 1 iff
 sigmoid(score) >= the threshold, which must lie in (0, 1).
 """
@@ -41,7 +41,8 @@ from .tree import RegressionTree, TreeParams, _check_matrix, fit_tree, presort
 
 _NEWTON_GUARD = 1e-12
 # Rows scored per block by `decision_function`: 16k rows of 26 features are
-# ~3.4 MB, copied column-major once and kept in cache while every tree is added.
+# ~3.4 MB, copied column-major once by `staged_scores` and kept in cache while
+# every tree is added.
 _BLOCK_ROWS = 16384
 
 
@@ -97,7 +98,9 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
     """Train a boosted model; returns (BoostedModel, TrainingTrace).
 
     Every round fits its tree on the same matrix, so each column is argsorted
-    once here (`presort`) and every round's `fit_tree` reuses that order.
+    once here (`presort`) and every round's `fit_tree` reuses that order.  The
+    fit also returns each row's leaf, over which the round takes its Newton
+    steps, so no round routes the training matrix again.
 
     Raises:
         NonFiniteFeatureError: NaN or infinity in the feature matrix.
@@ -120,8 +123,7 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
     for _ in range(params.estimators):
         p = sigmoid(f)
         residual = y - p
-        tree = fit_tree(X, residual, params.tree_params, order=order)
-        leaf = tree.apply(X)
+        tree, leaf = fit_tree(X, residual, params.tree_params, order=order)
         weight = p * (1.0 - p)
         values = tree.value.copy()
         for node in tree.leaf_nodes:
@@ -161,10 +163,12 @@ def label_scores(scores, threshold: float = 0.5) -> np.ndarray:
 def staged_scores(model: BoostedModel, x):
     """Yield the running score f_m of every row of x after m = 0, 1, ..., M trees.
 
-    The matrix is checked once.  Every step adds one tree to the same array in
-    place and yields it again, so read or copy each value before advancing.
+    The matrix is checked and copied column-major (unless it already is) once,
+    so every tree's routing reads it in place.  Every step adds one tree to
+    the same array in place and yields it again, so read or copy each value
+    before advancing.
     """
-    X = _check_matrix(x, model.n_features)
+    X = np.asfortranarray(_check_matrix(x, model.n_features))
     scores = np.full(X.shape[0], model.f0)
     yield scores
     for tree in model.trees:
@@ -176,16 +180,16 @@ def decision_function(model: BoostedModel, x) -> np.ndarray:
     """Raw additive score f_M(x) for every row of the (n, n_features) matrix x.
 
     Positive means the predicted delay probability exceeds 0.5.  It is the
-    last value of `staged_scores`, computed one row block at a time: each
-    block is copied column-major once and stays in cache across all M trees.
-    Each row gets the same additions in the same order, so the bits depend
-    on neither the blocking nor the layout of x.
+    last value of `staged_scores`, computed one row block at a time, so each
+    block's copy stays in cache across all M trees.  Each row gets the same
+    additions in the same order, so the bits depend on neither the blocking
+    nor the layout of x.
     """
     X = _check_matrix(x, model.n_features)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], _BLOCK_ROWS):
         block = slice(lo, lo + _BLOCK_ROWS)
-        for scores in staged_scores(model, np.asfortranarray(X[block])):
+        for scores in staged_scores(model, X[block]):
             pass
         out[block] = scores
     return out

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 
-from .boost import BoostedModel
+from .boost import BoostedModel, BoostParams
 from .encode import EncodingPlan
 from .errors import CorruptModelError, ModelIOError, VersionMismatchError
 from .tree import RegressionTree
@@ -45,7 +46,11 @@ def model_to_doc(model: BoostedModel, metadata: dict | None = None) -> dict:
 
 
 def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
-    """Rebuild (model, metadata); validates structure, the plan digest and widths."""
+    """Rebuild (model, metadata); validates structure, values, the plan digest and widths.
+
+    Scores must come out finite, so f0, every threshold and every leaf value
+    must be finite, and the learning rate must pass `BoostParams`'s rule.
+    """
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CorruptModelError("not a model document")
     if doc["format_version"] != FORMAT_VERSION:
@@ -57,13 +62,16 @@ def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
         if _plan_digest(plan_doc) != doc["schema_digest"]:
             raise CorruptModelError("schema digest mismatch")
         plan = EncodingPlan.from_doc(plan_doc) if plan_doc is not None else None
+        trees = tuple(RegressionTree.from_doc(t) for t in doc["trees"])
         model = BoostedModel(
             f0=float(doc["f0"]),
-            learning_rate=float(doc["learning_rate"]),
-            trees=tuple(RegressionTree.from_doc(t) for t in doc["trees"]),
+            learning_rate=BoostParams(len(trees), float(doc["learning_rate"])).learning_rate,
+            trees=trees,
             n_features=int(doc["n_features"]),
             plan=plan,
         )
+        if not math.isfinite(model.f0):
+            raise CorruptModelError(f"f0 is not finite: {model.f0}")
         widths = {f"tree {i}": t.n_features for i, t in enumerate(model.trees)}
         if plan is not None:
             widths["encoding plan"] = len(plan.output_names)
@@ -72,8 +80,11 @@ def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
                 raise CorruptModelError(
                     f"{part} has {width} features, model has {model.n_features}"
                 )
-        return model, doc.get("metadata", {})
-    except (KeyError, TypeError, ValueError) as exc:
+        metadata = doc.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise CorruptModelError("metadata is not a JSON object")
+        return model, metadata
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModelError(f"malformed model file: {exc}") from None
 
 

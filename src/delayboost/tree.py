@@ -17,7 +17,11 @@ contiguously, each in its own sorted order, and one pass scans them all.
 Nodes live in flat parallel arrays (feature, threshold, left, right, value),
 numbered in preorder; leaves have feature -1.
 
-`apply` routes all rows one level at a time.  Each tree builds routing tables
+`fit_tree` also returns the partition it grew: each training row's leaf id,
+so `fit_gbc` takes its Newton steps over the rows the fit already placed.
+
+`apply` routes rows one level at a time, reading a column-major matrix (any
+other layout is copied once per call).  Each tree builds routing tables
 once, on first use: leaves loop to themselves (feature 0, threshold +inf,
 both children the leaf), and the children are interleaved so that
 `kids[2 * node + goes_left]` is the next node.  A pass then gathers every
@@ -111,26 +115,17 @@ class RegressionTree:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id (int64) for every row of X; x <= threshold goes left, NaN right.
 
-        One pass per level: the root compares its column, and each later pass
-        gathers every row's value at its node's feature straight from X's
-        flat buffer, so a C- or F-ordered X is read in place (any other
-        layout is copied once).  `decision_function` passes column-major
-        blocks, whose gathers read contiguous columns; `fit_gbc` passes its
-        C-ordered training matrix, which a copy per round would enlarge.
+        One pass per level, each gathering every row's value at its node's
+        feature from X's column-major buffer, so the gathers read contiguous
+        columns.  An X in any other layout is copied column-major once.
         """
-        X = _check_matrix(X, self.n_features)
+        X = np.asfortranarray(_check_matrix(X, self.n_features))
         feature, threshold, kids, depth = self._routing
         n = X.shape[0]
         if depth == 0:
             return np.zeros(n, dtype=np.int64)
         node = kids.take(X[:, feature[0]] <= threshold[0])
-        if X.flags.f_contiguous:
-            flat, row_step, column_step = X.ravel(order="F"), 1, n
-        else:
-            X = np.ascontiguousarray(X)
-            flat, row_step, column_step = X.ravel(), X.shape[1], 1
-        rows = np.arange(0, n * row_step, row_step)
-        offset = feature * column_step
+        flat, rows, offset = X.ravel(order="F"), np.arange(n), feature * n
         for _ in range(depth - 1):
             goes_left = flat.take(offset.take(node) + rows) <= threshold.take(node)
             node = kids.take(2 * node + goes_left)
@@ -167,7 +162,7 @@ class RegressionTree:
         has_parent = np.zeros(n, dtype=bool)
         for node in range(n):
             if feature[node] == _LEAF:
-                if left[node] != _LEAF or right[node] != _LEAF or np.isnan(value[node]):
+                if left[node] != _LEAF or right[node] != _LEAF or not np.isfinite(value[node]):
                     raise ValueError(f"malformed leaf node {node}")
             else:
                 if not (0 <= feature[node] < doc["n_features"]):
@@ -178,8 +173,8 @@ class RegressionTree:
                     if has_parent[child]:
                         raise ValueError(f"node {child} has two parents")
                     has_parent[child] = True
-                if np.isnan(threshold[node]):
-                    raise ValueError(f"node {node} missing threshold")
+                if not np.isfinite(threshold[node]):
+                    raise ValueError(f"node {node} threshold is missing or not finite")
         if not has_parent[1:].all():
             raise ValueError(f"node {1 + np.argmin(has_parent[1:])} is unreachable from the root")
         return cls(feature, threshold, left, right, value, int(doc["n_features"]))
@@ -241,39 +236,37 @@ def fit_tree(
         )
 
     # Nodes in creation order, [feature, threshold, left, right, value] each;
-    # `frontier` holds the (node, ascending row ids) pairs to search next.
-    nodes = []
-    frontier = []
-
-    def add(rows, depth):
-        node = len(nodes)
-        nodes.append([_LEAF, np.nan, _LEAF, _LEAF, np.nan])
-        if depth < params.max_depth and rows.size >= params.min_samples_split:
-            frontier.append((node, rows))
-        else:
-            nodes[node][4] = float(t[rows].mean())
-        return node
-
-    add(np.arange(X.shape[0]), 0)
-    depth = 0
-    while frontier:
-        level, frontier = frontier, []
-        depth += 1
-        splits = _best_splits(X, t, order, [rows for _, rows in level], params.min_samples_leaf)
-        for (node, rows), split in zip(level, splits):
-            if split is None:
+    # `level` maps each node of one depth to its ascending row ids, and `leaf`
+    # holds creation-order node ids until `_preorder` renumbers them.
+    blank = [_LEAF, np.nan, _LEAF, _LEAF, np.nan]
+    nodes = [blank.copy()]
+    leaf = np.empty(X.shape[0], dtype=np.int64)
+    level = {0: np.arange(X.shape[0])}
+    for depth in range(params.max_depth + 1):
+        grow = {node: rows for node, rows in level.items()
+                if depth < params.max_depth and rows.size >= params.min_samples_split}
+        found = _best_splits(X, t, order, list(grow.values()), params.min_samples_leaf)
+        splits = dict(zip(grow, found))
+        children = {}
+        for node, rows in level.items():
+            if splits.get(node) is None:
                 nodes[node][4] = float(t[rows].mean())
+                leaf[rows] = node
                 continue
-            feature, threshold = split
+            feature, threshold = splits[node]
             goes_left = X[rows, feature] <= threshold
-            nodes[node][:2] = feature, threshold
-            nodes[node][2] = add(rows[goes_left], depth)
-            nodes[node][3] = add(rows[~goes_left], depth)
-    return _preorder(nodes, X.shape[1])
+            left, right = len(nodes), len(nodes) + 1
+            nodes[node][:4] = feature, threshold, left, right
+            nodes += [blank.copy(), blank.copy()]
+            children[left], children[right] = rows[goes_left], rows[~goes_left]
+        level = children
+    tree, rank = _preorder(nodes, X.shape[1])
+    return tree, rank[leaf]
 
 
-def _preorder(nodes: list, n_features: int) -> RegressionTree:
-    """The tree of `nodes`, given in creation order, with preorder node ids."""
+def _preorder(nodes: list, n_features: int):
+    """(tree, rank): the tree of `nodes`, given in creation order, with preorder
+    node ids, and the preorder id of every creation-order node."""
     feature, threshold, left, right, value = (np.array(c) for c in zip(*nodes))
     ids = []
     stack = [0]
@@ -292,7 +285,7 @@ def _preorder(nodes: list, n_features: int) -> RegressionTree:
         right=np.where(internal, rank[right[ids]], _LEAF),
         value=value[ids],
         n_features=n_features,
-    )
+    ), rank
 
 
 def _best_splits(X, t, order, groups, min_samples_leaf):
@@ -306,6 +299,8 @@ def _best_splits(X, t, order, groups, min_samples_leaf):
     ties break to the lowest feature, then the lowest threshold.  A group gets
     None when no split improves on its SSE beyond numeric noise.
     """
+    if not groups:
+        return []
     n_groups = len(groups)
     # Rows of nodes that split no further keep label n_groups: they sort last
     # and are cut off.

@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from delayboost.cli import main
 from delayboost.encode import FeatureMatrix
 
 
@@ -22,3 +25,30 @@ def separable_matrix(n=200, seed=42) -> FeatureMatrix:
 @pytest.fixture
 def separable():
     return separable_matrix()
+
+
+@pytest.fixture(scope="module")
+def cli_model(tmp_path_factory):
+    """A model that `delayboost train` saved from a 600-row `synth` extract.
+
+    Returns (model path, data path); the data is the training extract, which
+    `evaluate` and `predict` accept.
+    """
+    work = tmp_path_factory.mktemp("cli_model")
+    data, schema, model = work / "data.csv", work / "schema.json", work / "model.json"
+    assert main(["synth", "--rows", "600", "--positive-frac", "0.2", "--seed", "1",
+                 "--out", str(data), "--schema-out", str(schema)]) == 0
+    assert main(["train", "--input", str(data), "--schema", str(schema), "--estimators", "5",
+                 "--seed", "1", "--model-out", str(model)]) == 0
+    return model, data
+
+
+def write_replaced(model, path, value, out):
+    """Write the model file `model` to `out` with the entry at key `path` set to value."""
+    doc = json.loads(model.read_text())
+    *parents, last = path
+    target = doc
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    out.write_text(json.dumps(doc))

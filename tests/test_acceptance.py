@@ -92,7 +92,7 @@ def test_criterion_03_tree_split_oracle():
             X = rng.normal(size=(n, d))
         t = rng.normal(size=n)
         oracle = brute_force_root_split(X, t)
-        tree = db.fit_tree(X, t, db.TreeParams(max_depth=1))
+        tree, _ = db.fit_tree(X, t, db.TreeParams(max_depth=1))
         if oracle is None:
             assert tree.n_nodes == 1
             continue

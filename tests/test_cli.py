@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delayboost as db
+from conftest import write_replaced
 from delayboost.cli import SMOTE_STAGE, _load_with_plan, main, stage_seed
 
 
@@ -380,6 +385,44 @@ class TestExitCodes:
         assert run(*argv) == 2
         assert "threshold must be in (0, 1)" in capsys.readouterr().err
         assert not (workspace / "preds.csv").exists()
+
+
+def _scalar_paths(doc, path=()):
+    """The key path of every scalar (and empty container) in a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    else:
+        items = enumerate(doc) if isinstance(doc, list) else ()
+    paths = [p for key, value in items for p in _scalar_paths(value, path + (key,))]
+    return paths or [path]
+
+
+class TestFuzzedModelFile:
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_one_bad_scalar_exits_3_or_scores_finitely(self, cli_model, data):
+        model, csv = cli_model
+        # pick a top-level key first, so the few top-level scalars are drawn
+        # as often as the many inside the trees and the plan
+        paths = _scalar_paths(json.loads(model.read_text()))
+        top = data.draw(st.sampled_from(sorted({p[0] for p in paths})))
+        path = data.draw(st.sampled_from([p for p in paths if p[0] == top]))
+        value = data.draw(st.sampled_from(
+            [float("nan"), float("inf"), float("-inf"), -1, 0, 2, [], "x", None]))
+        bad = model.with_name("fuzzed.json")
+        write_replaced(model, path, value, bad)
+
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--model", str(bad), "--input", str(csv)])
+        assert code in (0, 3), (path, value)
+        if code == 3:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), lines
+        else:
+            loaded, _ = db.load_model(bad)
+            _, fm = _load_with_plan(csv, loaded, labelled=True)
+            assert np.isfinite(db.decision_function(loaded, fm.values)).all(), (path, value)
 
 
 class TestDeterminism:

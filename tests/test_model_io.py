@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_matrix, separable_matrix
+from conftest import make_matrix, separable_matrix, write_replaced
 from delayboost.boost import BoostParams, decision_function, fit_gbc, predict_label
+from delayboost.cli import main
 from delayboost.dataset import generate_synthetic
 from delayboost.encode import fit_encoding
 from delayboost.errors import CorruptModelError, ModelIOError, VersionMismatchError
@@ -124,6 +125,31 @@ class TestValidation:
         path.write_text('{"hello": 1}')
         with pytest.raises(CorruptModelError):
             load_model(path)
+
+    @pytest.mark.parametrize(
+        "path, value, problem",
+        [
+            (("metadata",), [], "metadata is not a JSON object"),
+            (("f0",), float("nan"), "f0 is not finite"),
+            (("learning_rate",), -1, "learning_rate must be in"),
+            (("learning_rate",), float("inf"), "learning_rate must be in"),
+            (("trees", 0, "threshold", 0), float("inf"), "threshold is missing or not finite"),
+            # the last node in preorder is a leaf
+            (("trees", 0, "value", -1), float("-inf"), "malformed leaf node"),
+        ],
+    )
+    def test_out_of_range_value_is_corrupt(
+        self, cli_model, tmp_path, capsys, path, value, problem
+    ):
+        # training never writes these, and each would crash `evaluate` or skew its scores
+        model, data = cli_model
+        bad = tmp_path / "model.json"
+        write_replaced(model, path, value, bad)
+        with pytest.raises(CorruptModelError, match=problem):
+            load_model(bad)
+        assert main(["evaluate", "--model", str(bad), "--input", str(data)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 # A plan whose output width (one column per feature) fixes the matrix width.

@@ -149,13 +149,13 @@ def achieved_root_sse(tree, X, t):
 
 class TestFitTrivial:
     def test_constant_targets_single_leaf(self):
-        tree = fit_tree([[1.0], [2.0], [3.0]], [3.0, 3.0, 3.0], TreeParams(max_depth=5))
+        tree, _ = fit_tree([[1.0], [2.0], [3.0]], [3.0, 3.0, 3.0], TreeParams(max_depth=5))
         assert tree.n_nodes == 1
         assert tree.value[0] == 3.0
         assert tree.depth == 0
 
     def test_depth_zero_global_mean(self):
-        tree = fit_tree([[1.0], [2.0]], [1.0, 5.0], TreeParams(max_depth=0))
+        tree, _ = fit_tree([[1.0], [2.0]], [1.0, 5.0], TreeParams(max_depth=0))
         assert tree.n_nodes == 1
         assert tree.value[0] == 3.0
 
@@ -164,7 +164,7 @@ class TestFitTrivial:
         t = [0.0, 0.0, 1.0, 1.0]
         oracle = brute_force_root_split(X, t)
         assert oracle[1:] == (0, 2.5)
-        tree = fit_tree(X, t, TreeParams(max_depth=1))
+        tree, _ = fit_tree(X, t, TreeParams(max_depth=1))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == 2.5
         leaves = sorted(tree.value[tree.feature == -1])
@@ -192,19 +192,19 @@ class TestFitTrivial:
 
 class TestPredict:
     def test_single_leaf(self):
-        tree = fit_tree([[1.0]], [3.0], TreeParams(max_depth=0))
+        tree, _ = fit_tree([[1.0]], [3.0], TreeParams(max_depth=0))
         assert tree.predict(np.array([[123.0]])).tolist() == [3.0]
 
     def test_depth_one_routing(self):
-        tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
+        tree, _ = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
         assert tree.predict(np.array([[1.0], [4.0]])).tolist() == [0.0, 1.0]
 
     def test_threshold_ties_go_left(self):
-        tree = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
+        tree, _ = fit_tree([[1.0], [2.0], [3.0], [4.0]], [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
         assert tree.predict(np.array([[2.5]])).tolist() == [0.0]
 
     def test_dimension_mismatch(self):
-        tree = fit_tree([[1.0, 2.0]], [1.0], TreeParams(max_depth=0))
+        tree, _ = fit_tree([[1.0, 2.0]], [1.0], TreeParams(max_depth=0))
         with pytest.raises(DimensionMismatchError):
             tree.predict(np.array([[1.0]]))
         with pytest.raises(DimensionMismatchError):
@@ -216,7 +216,7 @@ class TestPredict:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 3))
         t = rng.normal(size=30)
-        tree = fit_tree(X, t, TreeParams(max_depth=3))
+        tree, _ = fit_tree(X, t, TreeParams(max_depth=3))
         batch = tree.predict(X)
         singles = [tree.predict(row[None, :])[0] for row in X]
         assert np.array_equal(batch, singles)
@@ -234,7 +234,7 @@ class TestOracle:
                 X = rng.normal(size=(n, d))
             t = rng.normal(size=n)
             oracle = brute_force_root_split(X, t)
-            tree = fit_tree(X, t, TreeParams(max_depth=1))
+            tree, _ = fit_tree(X, t, TreeParams(max_depth=1))
             if oracle is None:
                 assert tree.n_nodes == 1
                 continue
@@ -251,7 +251,7 @@ class TestOracle:
         t = rng.normal(size=60)
         sses = []
         for depth in range(5):
-            tree = fit_tree(X, t, TreeParams(max_depth=depth))
+            tree, _ = fit_tree(X, t, TreeParams(max_depth=depth))
             sses.append(float(((tree.predict(X) - t) ** 2).sum()))
         assert all(a >= b - 1e-9 for a, b in zip(sses, sses[1:]))
 
@@ -259,7 +259,7 @@ class TestOracle:
         rng = np.random.default_rng(13)
         X = rng.normal(size=(50, 2))
         t = rng.normal(size=50)
-        tree = fit_tree(X, t, TreeParams(max_depth=3))
+        tree, _ = fit_tree(X, t, TreeParams(max_depth=3))
         leaf = tree.apply(X)
         assert np.array_equal(np.unique(leaf), tree.leaf_nodes)
         for node in tree.leaf_nodes:
@@ -270,7 +270,7 @@ class TestOracle:
         rng = np.random.default_rng(17)
         X = rng.normal(size=(40, 2))
         t = rng.normal(size=40)
-        tree = fit_tree(X, t, TreeParams(max_depth=6, min_samples_leaf=5))
+        tree, _ = fit_tree(X, t, TreeParams(max_depth=6, min_samples_leaf=5))
         leaf = tree.apply(X)
         for node in tree.leaf_nodes:
             assert (leaf == node).sum() >= 5
@@ -280,13 +280,14 @@ class TestOracle:
         X = rng.normal(size=(80, 2))
         t = rng.normal(size=80)
         for depth in (1, 2, 4):
-            assert fit_tree(X, t, TreeParams(max_depth=depth)).depth <= depth
+            tree, _ = fit_tree(X, t, TreeParams(max_depth=depth))
+            assert tree.depth <= depth
 
     def test_split_between_adjacent_doubles(self):
         lo = np.nextafter(1.0, 2.0)
         hi = np.nextafter(lo, 2.0)  # (lo + hi) / 2 rounds to hi
         X = np.array([[lo], [hi]])
-        tree = fit_tree(X, [0.0, 1.0], TreeParams(max_depth=1))
+        tree, _ = fit_tree(X, [0.0, 1.0], TreeParams(max_depth=1))
         assert tree.apply(X).tolist() == [1, 2]
         assert tree.value[1:].tolist() == [0.0, 1.0]
 
@@ -294,15 +295,15 @@ class TestOracle:
         # duplicated feature: identical gains, feature 0 must win
         x = np.array([1.0, 2.0, 3.0, 4.0])
         X = np.column_stack([x, x])
-        tree = fit_tree(X, [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
+        tree, _ = fit_tree(X, [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
         assert tree.feature[0] == 0
 
     def test_determinism(self):
         rng = np.random.default_rng(23)
         X = rng.normal(size=(50, 3))
         t = rng.normal(size=50)
-        t1 = fit_tree(X, t, TreeParams(max_depth=4))
-        t2 = fit_tree(X, t, TreeParams(max_depth=4))
+        t1, _ = fit_tree(X, t, TreeParams(max_depth=4))
+        t2, _ = fit_tree(X, t, TreeParams(max_depth=4))
         assert t1.to_doc() == t2.to_doc()
 
 
@@ -328,7 +329,7 @@ class TestRoutingProperty:
     @given(_fit_inputs())
     def test_every_ancestor_agrees_with_the_branch_taken(self, inputs):
         X, t, depth = inputs
-        tree = fit_tree(X, t, TreeParams(max_depth=depth))
+        tree, _ = fit_tree(X, t, TreeParams(max_depth=depth))
         parent = {}
         probes = []  # rows that sit exactly on a threshold must go left
         for node in range(tree.n_nodes):
@@ -383,7 +384,7 @@ def _routing_inputs(draw):
     """
     if draw(st.booleans()):
         X, t, params = draw(_tree_inputs())
-        tree = fit_tree(X, t, params)
+        tree, _ = fit_tree(X, t, params)
     else:
         tree = draw(_hand_built_tree())
     element = st.one_of(
@@ -432,7 +433,7 @@ class TestSplitOracleProperty:
     @given(_split_inputs())
     def test_root_split_matches_brute_force(self, inputs):
         X, t, k = inputs
-        tree = fit_tree(X, t, TreeParams(max_depth=1, min_samples_leaf=k))
+        tree, _ = fit_tree(X, t, TreeParams(max_depth=1, min_samples_leaf=k))
         oracle = brute_force_root_split(X, t, min_samples_leaf=k)
         if tree.feature[0] == -1:
             # no admissible split, or none that gains beyond noise
@@ -465,11 +466,18 @@ class TestWholeTreeOracleProperty:
     @given(_tree_inputs())
     def test_node_arrays_equal_the_per_node_argsort_tree(self, inputs):
         X, t, params = inputs
-        tree = fit_tree(X, t, params)
+        tree, leaf = fit_tree(X, t, params)
         got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
         for a, b in zip(got, reference_fit(X, t, params)):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
+        # the returned partition is the one routing gives, for C- and F-ordered X
+        X_f = np.asfortranarray(X)
+        _, leaf_f = fit_tree(X_f, t, params)
+        for fitted, rows in ((leaf, np.ascontiguousarray(X)), (leaf_f, X_f)):
+            routed = tree.apply(rows)
+            assert fitted.dtype == routed.dtype == np.int64
+            assert fitted.tobytes() == routed.tobytes()
 
 
 class TestPresort:
@@ -485,7 +493,9 @@ class TestPresort:
         X = np.column_stack([rng.normal(size=80), rng.integers(0, 4, size=80)])
         t = rng.normal(size=80)
         params = TreeParams(max_depth=4)
-        assert fit_tree(X, t, params, order=presort(X)).to_doc() == fit_tree(X, t, params).to_doc()
+        given, _ = fit_tree(X, t, params, order=presort(X))
+        computed, _ = fit_tree(X, t, params)
+        assert given.to_doc() == computed.to_doc()
 
     @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (2,), (1, 3, 2)])
     def test_misshapen_order_rejected(self, shape):
@@ -507,12 +517,12 @@ class TestSerialization:
         rng = np.random.default_rng(29)
         X = rng.normal(size=(40, 2))
         t = rng.normal(size=40)
-        tree = fit_tree(X, t, TreeParams(max_depth=3))
+        tree, _ = fit_tree(X, t, TreeParams(max_depth=3))
         again = RegressionTree.from_doc(tree.to_doc())
         assert np.array_equal(tree.predict(X), again.predict(X))
 
     def test_rejects_malformed(self):
-        tree = fit_tree([[1.0], [2.0]], [0.0, 1.0], TreeParams(max_depth=1))
+        tree, _ = fit_tree([[1.0], [2.0]], [0.0, 1.0], TreeParams(max_depth=1))
         doc = tree.to_doc()
         bad = dict(doc, left=[5] + doc["left"][1:])
         with pytest.raises(ValueError):
