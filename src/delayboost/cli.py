@@ -27,6 +27,7 @@ malformed schema file), 4 numeric or training error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 from dataclasses import asdict
@@ -284,8 +285,8 @@ def cmd_train(args):
     }
     if args.timestamp is not None:
         metadata["timestamp"] = args.timestamp
-    model_io.save_model(model, args.model_out, metadata)
-
+    # the report is built before the model is saved, so a run that fails
+    # there (say, a validation split of one class) leaves no model behind
     doc, roc = _evaluation_doc(
         model,
         split.validation,
@@ -297,6 +298,7 @@ def cmd_train(args):
             "training_accuracy": trace.accuracy[-1],
         },
     )
+    model_io.save_model(model, args.model_out, metadata)
     _emit_report(doc, roc, args)
 
 
@@ -366,7 +368,11 @@ def _boost_params(args) -> boost.BoostParams:
 
 def _read_schema(path) -> dataset.Schema:
     with open(path, encoding="utf-8") as fh:
-        return dataset.Schema.from_json(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return dataset.Schema.from_json(text)
 
 
 def _resolve_one_hot(schema: dataset.Schema, arg):
@@ -461,6 +467,8 @@ def _write_json(doc, path):
 def _write_matrix(fm: encode.FeatureMatrix, path):
     """Write fm as CSV, each cell as `repr(float)` and the label as an int.
 
+    The header is quoted as the csv module quotes it, since an encoded name
+    such as `City=Dallas, TX` may hold a comma; the cells never need quoting.
     Each column's distinct values are formatted once.  They are keyed on
     their bit pattern, not their value, so -0.0 keeps its sign.
     """
@@ -470,8 +478,8 @@ def _write_matrix(fm: encode.FeatureMatrix, path):
         text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
         columns.append(text[inverse].tolist())
     columns.append([f"{label}\n" for label in fm.labels.tolist()])
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(fm.column_names) + f",{fm.plan.label_name}\n")
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow([*fm.column_names, fm.plan.label_name])
         fh.writelines(map(",".join, zip(*columns)))
 
 

@@ -47,6 +47,8 @@ class Column:
     kind: str
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"column name {self.name!r} is not a string")
         if self.kind not in COLUMN_KINDS:
             raise ValueError(f"unknown column kind {self.kind!r}")
 
@@ -66,6 +68,10 @@ class Schema:
         labels = [c for c in self.columns if c.kind == LABEL]
         if len(labels) != 1:
             raise ValueError("schema must declare exactly one label column")
+        if not isinstance(self.positive_label_value, str):
+            raise ValueError(
+                f"positive_label_value {self.positive_label_value!r} is not a string"
+            )
 
     @property
     def names(self) -> list[str]:
@@ -228,11 +234,15 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
         SchemaMismatchError: a schema column appears twice in the header.
         RowArityError: a data row's field count differs from the header's.
         FieldParseError: non-numeric or non-finite text in a continuous
-            column, or a NUL character anywhere in the file.
+            column, a NUL character anywhere in the file, or a file that is
+            not UTF-8.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        if any("\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), "")):
-            raise FieldParseError(f"{path}: NUL character in file")
+        try:  # the scan decodes every byte, so the reader below meets no bad UTF-8
+            if any("\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), "")):
+                raise FieldParseError(f"{path}: NUL character in file")
+        except UnicodeDecodeError as exc:
+            raise FieldParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
         fh.seek(0)
         reader = csv.reader(fh)
         try:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataset import CATEGORICAL, CONTINUOUS, Column, Dataset, label_classes
+from .dataset import CATEGORICAL, CONTINUOUS, LABEL, Column, Dataset, Schema, label_classes
 from .errors import (
     DataError,
     MissingCellError,
@@ -80,13 +80,16 @@ class EncodingPlan:
         categories = {k: tuple(v) for k, v in doc["categories"].items()}
         if any(list(v) != sorted(set(v)) for v in categories.values()):
             raise ValueError("plan categories must be sorted and distinct")
-        return cls(
+        plan = cls(
             feature_columns=tuple(Column(n, k) for n, k in doc["feature_columns"]),
             categories=categories,
             one_hot=frozenset(doc["one_hot"]),
             label_name=doc["label_name"],
             positive_label_value=doc["positive_label_value"],
         )
+        # held to the schema rules: string names, one label, a string label value
+        Schema(plan.feature_columns + (Column(plan.label_name, LABEL),), plan.positive_label_value)
+        return plan
 
 
 @dataclass(frozen=True)

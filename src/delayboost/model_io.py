@@ -18,7 +18,7 @@ import math
 from .boost import BoostedModel, BoostParams
 from .encode import EncodingPlan
 from .errors import CorruptModelError, ModelIOError, VersionMismatchError
-from .tree import RegressionTree
+from .tree import RegressionTree, _json_int
 
 FORMAT_VERSION = 1
 
@@ -50,6 +50,7 @@ def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
 
     Scores must come out finite, so f0, every threshold and every leaf value
     must be finite, and the learning rate must pass `BoostParams`'s rule.
+    Integer fields must be JSON integers: a float would be truncated.
     """
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CorruptModelError("not a model document")
@@ -67,7 +68,7 @@ def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
             f0=float(doc["f0"]),
             learning_rate=BoostParams(len(trees), float(doc["learning_rate"])).learning_rate,
             trees=trees,
-            n_features=int(doc["n_features"]),
+            n_features=_json_int(doc["n_features"]),
             plan=plan,
         )
         if not math.isfinite(model.f0):
@@ -109,13 +110,16 @@ def load_model(path) -> tuple[BoostedModel, dict]:
     Raises:
         ModelIOError: the path cannot be read.
         VersionMismatchError: unknown format version.
-        CorruptModelError: structural validation failure.
+        CorruptModelError: the file is not UTF-8 JSON, or fails structural
+            validation.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ModelIOError(f"cannot read model from {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CorruptModelError(f"{path}: not UTF-8 text ({exc.reason})") from None
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -20,14 +20,12 @@ numbered in preorder; leaves have feature -1.
 `fit_tree` also returns the partition it grew: each training row's leaf id,
 so `fit_gbc` takes its Newton steps over the rows the fit already placed.
 
-`apply` routes rows one level at a time, reading a column-major matrix (any
-other layout is copied once per call).  Each tree builds routing tables
-once, on first use: leaves loop to themselves (feature 0, threshold +inf,
-both children the leaf), and the children are interleaved so that
-`kids[2 * node + goes_left]` is the next node.  A pass then gathers every
-row's value at its node's feature from the matrix's flat buffer, compares it
-with the node's threshold and gathers the child; `depth` passes bring every
-row to its leaf.  The tables hold no leaf values and are never serialized.
+`apply` routes rows one level at a time over a column-major matrix (any other
+layout is copied once per call), with tables each tree builds on first use:
+leaves loop to themselves (feature 0, threshold +inf, both children the
+leaf), and `kids[2 * node + goes_left]` is the next node.  A pass gathers
+every row's value at its node's feature, compares it with the node's
+threshold and gathers the child.  The tables are never serialized.
 """
 
 from __future__ import annotations
@@ -50,10 +48,15 @@ _LEAF = -1
 def _check_matrix(X, n_features: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
-        raise DimensionMismatchError(
-            f"expected {n_features} features, got shape {X.shape}"
-        )
+        raise DimensionMismatchError(f"expected {n_features} features, got shape {X.shape}")
     return X
+
+
+def _json_int(value) -> int:
+    """An integer field of a model file; ValueError unless it is a JSON integer."""
+    if type(value) is not int:  # a float would truncate, and a bool is an int subclass
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -146,15 +149,14 @@ class RegressionTree:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "RegressionTree":
-        feature = np.asarray(doc["feature"], dtype=np.int64)
-        n = feature.size
+        feature, left, right = (
+            np.array([_json_int(v) for v in doc[key]], dtype=np.int64)
+            for key in ("feature", "left", "right")
+        )
+        n, n_features = feature.size, _json_int(doc["n_features"])
         if n == 0:
             raise ValueError("tree has no nodes")
-        threshold = np.array(
-            [np.nan if t is None else float(t) for t in doc["threshold"]]
-        )
-        left = np.asarray(doc["left"], dtype=np.int64)
-        right = np.asarray(doc["right"], dtype=np.int64)
+        threshold = np.array([np.nan if t is None else float(t) for t in doc["threshold"]])
         value = np.array([np.nan if v is None else float(v) for v in doc["value"]])
         if not (threshold.size == left.size == right.size == value.size == n):
             raise ValueError("node arrays have inconsistent lengths")
@@ -165,7 +167,7 @@ class RegressionTree:
                 if left[node] != _LEAF or right[node] != _LEAF or not np.isfinite(value[node]):
                     raise ValueError(f"malformed leaf node {node}")
             else:
-                if not (0 <= feature[node] < doc["n_features"]):
+                if not (0 <= feature[node] < n_features):
                     raise ValueError(f"node {node} splits on unknown feature")
                 for child in (left[node], right[node]):
                     if not node < child < n:
@@ -177,7 +179,7 @@ class RegressionTree:
                     raise ValueError(f"node {node} threshold is missing or not finite")
         if not has_parent[1:].all():
             raise ValueError(f"node {1 + np.argmin(has_parent[1:])} is unreachable from the root")
-        return cls(feature, threshold, left, right, value, int(doc["n_features"]))
+        return cls(feature, threshold, left, right, value, n_features)
 
 
 def presort(X: np.ndarray) -> np.ndarray:
@@ -208,8 +210,9 @@ def fit_tree(
     `order` is `presort(X)`, computed here when not given.  The tree grows one
     level at a time, each level's split search taking one pass per presorted
     column, yet the result equals a recursive search that argsorts every
-    column at every node, bit for bit.  Nodes are numbered in preorder: a
-    node, its left subtree, its right subtree.
+    column at every node, bit for bit.  Every node shallower than `max_depth`
+    is searched, and `_scan` alone applies the other split rules.  Nodes are
+    numbered in preorder: a node, its left subtree, its right subtree.
 
     Raises:
         EmptyInputError: no rows.
@@ -243,17 +246,15 @@ def fit_tree(
     leaf = np.empty(X.shape[0], dtype=np.int64)
     level = {0: np.arange(X.shape[0])}
     for depth in range(params.max_depth + 1):
-        grow = {node: rows for node, rows in level.items()
-                if depth < params.max_depth and rows.size >= params.min_samples_split}
-        found = _best_splits(X, t, order, list(grow.values()), params.min_samples_leaf)
-        splits = dict(zip(grow, found))
+        found = (_best_splits(X, t, order, list(level.values()), params)
+                 if depth < params.max_depth else [None] * len(level))
         children = {}
-        for node, rows in level.items():
-            if splits.get(node) is None:
+        for (node, rows), split in zip(level.items(), found):
+            if split is None:
                 nodes[node][4] = float(t[rows].mean())
                 leaf[rows] = node
                 continue
-            feature, threshold = splits[node]
+            feature, threshold = split
             goes_left = X[rows, feature] <= threshold
             left, right = len(nodes), len(nodes) + 1
             nodes[node][:4] = feature, threshold, left, right
@@ -268,8 +269,7 @@ def _preorder(nodes: list, n_features: int):
     """(tree, rank): the tree of `nodes`, given in creation order, with preorder
     node ids, and the preorder id of every creation-order node."""
     feature, threshold, left, right, value = (np.array(c) for c in zip(*nodes))
-    ids = []
-    stack = [0]
+    ids, stack = [], [0]
     while stack:
         node = stack.pop()
         ids.append(node)
@@ -288,7 +288,7 @@ def _preorder(nodes: list, n_features: int):
     ), rank
 
 
-def _best_splits(X, t, order, groups, min_samples_leaf):
+def _best_splits(X, t, order, groups, params):
     """Best (feature, threshold), or None, for each group of ascending row ids.
 
     For each feature, one stable sort of the node labels along the presorted
@@ -297,50 +297,47 @@ def _best_splits(X, t, order, groups, min_samples_leaf):
     and every tie matches a search that sorts each node on its own.  Features
     are scanned in index order and a later one must be strictly better, so
     ties break to the lowest feature, then the lowest threshold.  A group gets
-    None when no split improves on its SSE beyond numeric noise.
+    None when `_scan` rejects every feature; its no-gain rule is the same for
+    all of them, so it rejects either the overall best split or none of them.
     """
     if not groups:
         return []
     n_groups = len(groups)
-    # Rows of nodes that split no further keep label n_groups: they sort last
-    # and are cut off.
+    # Rows of earlier levels' leaves keep label n_groups: they sort last and are cut off.
     label = np.full(t.size, n_groups, dtype=np.min_scalar_type(n_groups))
     for k, rows in enumerate(groups):
         label[rows] = k
     bounds = np.cumsum([0] + [rows.size for rows in groups])
-    sums = []
-    for rows in groups:
-        ti = t[rows]
-        total = ti.sum()
-        total_sq = (ti * ti).sum()
-        sums.append((total, total_sq, total_sq - total * total / rows.size))
+    sums = [(ti.sum(), (ti * ti).sum()) for ti in (t[rows] for rows in groups)]
 
-    best_sse = [np.inf] * n_groups
-    best = [None] * n_groups
+    best_sse, best = [np.inf] * n_groups, [None] * n_groups
     for f in range(X.shape[1]):
         column = order[f].astype(np.intp)  # an int32 index is cast at every take
         grouped = column.take(np.argsort(label.take(column), kind="stable")[: bounds[-1]])
         xs = X[:, f][grouped]
         ts = t.take(grouped)
-        for k, (total, total_sq, _) in enumerate(sums):
+        for k, (total, total_sq) in enumerate(sums):
             lo, hi = bounds[k], bounds[k + 1]
-            found = _scan(xs[lo:hi], ts[lo:hi], total, total_sq, min_samples_leaf)
+            found = _scan(xs[lo:hi], ts[lo:hi], total, total_sq, params)
             if found is not None and found[0] < best_sse[k]:
                 best_sse[k] = found[0]
                 best[k] = (f, found[1])
-    return [
-        None if split is None or sse >= parent_sse - 1e-12 * max(parent_sse, 1.0) else split
-        for split, sse, (_, _, parent_sse) in zip(best, best_sse, sums)
-    ]
+    return best
 
 
-def _scan(xs_sorted, ts_sorted, total, total_sq, min_samples_leaf):
-    """(sse, threshold) of the best midpoint of one node's sorted column, or None."""
+def _scan(xs_sorted, ts_sorted, total, total_sq, params):
+    """(sse, threshold) of the best midpoint of one node's sorted column, or None.
+
+    The one place a split is accepted: None when the node has fewer than
+    `min_samples_split` rows, when no boundary leaves `min_samples_leaf` rows
+    on each side, or when no SSE is below the node's own beyond numeric noise.
+    """
     n = xs_sorted.size
+    if n < params.min_samples_split:
+        return None
     boundaries = np.flatnonzero(xs_sorted[1:] != xs_sorted[:-1]) + 1
-    boundaries = boundaries[
-        (boundaries >= min_samples_leaf) & (n - boundaries >= min_samples_leaf)
-    ]
+    leaf = params.min_samples_leaf
+    boundaries = boundaries[(boundaries >= leaf) & (n - boundaries >= leaf)]
     if boundaries.size == 0:
         return None
     cum = np.cumsum(ts_sorted)
@@ -355,6 +352,9 @@ def _scan(xs_sorted, ts_sorted, total, total_sq, min_samples_leaf):
         right_sq - right_sum * right_sum / right_n
     )
     j = int(np.argmin(sse))  # first minimum = lowest threshold
+    parent = total_sq - total * total / n
+    if sse[j] >= parent - 1e-12 * max(parent, 1.0):
+        return None
     lo, hi = xs_sorted[boundaries[j] - 1], xs_sorted[boundaries[j]]
     mid = (lo + hi) / 2.0
     # Between adjacent doubles the midpoint can round up to hi (or overflow),

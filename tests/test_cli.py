@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import delayboost as db
 from conftest import write_replaced
 from delayboost.cli import SMOTE_STAGE, _load_with_plan, main, stage_seed
+from delayboost.model_io import _plan_digest
 
 
 def run(*argv):
@@ -42,6 +44,14 @@ def train_args(ws, **over):
     for k, v in args.items():
         out += [k, v]
     return out
+
+
+def run_quietly(*argv):
+    """(exit code, stderr lines) of one `cli.main` run, its standard output discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(*argv)
+    return code, err.getvalue().splitlines()
 
 
 class TestPipeline:
@@ -151,6 +161,53 @@ class TestPipeline:
         cells = [line.split(",")[col] for line in written.splitlines()[1:4]]
         assert cells == ["-0.0", "0.0", "-0.0"]
 
+    def test_balance_quotes_a_header_name_with_a_comma(self, tmp_path):
+        # An explicit --one-hot column whose category holds a comma.
+        cities = ["Dallas, TX", "Austin"] * 6
+        rows = [f'"{c}",{i},{int(i % 3 == 0)}' for i, c in enumerate(cities)]
+        (tmp_path / "data.csv").write_text("City,Dep,Late\n" + "\n".join(rows) + "\n")
+        schema = db.Schema((db.Column("City", "categorical"), db.Column("Dep", "continuous"),
+                            db.Column("Late", "label")), "1")
+        (tmp_path / "schema.json").write_text(schema.to_json())
+        assert run(
+            "balance", "--input", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
+            "--one-hot", "City", "--smote-percent", 100, "--out", tmp_path / "balanced.csv",
+        ) == 0
+        text = (tmp_path / "balanced.csv").read_text()
+        assert text.startswith('City=Austin,"City=Dallas, TX",Dep,Late\n')
+        rows = list(csv.reader(io.StringIO(text)))
+        assert len(rows) == 1 + 12 + 4 and {len(row) for row in rows} == {4}
+
+    def test_train_records_the_timestamp(self, workspace):
+        assert run(*train_args(workspace, **{"--timestamp": "2019-06-01T00:00:00"})) == 0
+        _, metadata = db.load_model(workspace / "model.json")
+        assert metadata["timestamp"] == "2019-06-01T00:00:00"
+
+    def test_evaluate_and_predict_count_skipped_and_unseen_rows(self, workspace, capsys):
+        assert run(*train_args(workspace)) == 0
+        # an airport the plan never saw, and a row without a label
+        lines = (workspace / "data.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for line, name, text in ((1, "Origin_Airport_ID", "99999"), (2, "Arr_Del_15", "")):
+            cells = lines[line].split(",")
+            cells[header.index(name)] = text
+            lines[line] = ",".join(cells)
+        (workspace / "data.csv").write_text("\n".join(lines) + "\n")
+        assert run(
+            "evaluate", "--model", workspace / "model.json",
+            "--input", workspace / "data.csv", "--report-out", workspace / "eval.json",
+        ) == 0
+        doc = json.loads((workspace / "eval.json").read_text())
+        assert doc["rows"] == 149
+        assert doc["rows_skipped_missing_label"] == 1 and doc["unseen_category_cells"] == 1
+        capsys.readouterr()
+        assert run(
+            "predict", "--model", workspace / "model.json",
+            "--input", workspace / "data.csv", "--out", workspace / "preds.csv",
+        ) == 0
+        assert capsys.readouterr().err == (
+            "warning: 1 cells held categories unseen at training time\n")
+
     def test_train_evaluate_predict(self, workspace, capsys):
         assert run(*train_args(workspace)) == 0
         report = json.loads((workspace / "report.json").read_text())
@@ -250,6 +307,95 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_empty_csv_is_3(self, workspace):
+        (workspace / "empty.csv").write_text("")
+        code, err = run_quietly(*train_args(workspace, **{"--input": workspace / "empty.csv"}))
+        assert code == 3 and err == [f"error: {workspace / 'empty.csv'}: empty file, header required"]
+        assert not (workspace / "model.json").exists()
+
+    @pytest.mark.parametrize("command", [
+        "evaluate", "predict", "train", "prepare", "corr", "balance", "tune"])
+    def test_non_utf8_csv_is_3(self, workspace, command):
+        bad, out = workspace / "bad.csv", workspace / "out.csv"
+        bad.write_bytes((workspace / "data.csv").read_bytes() + b"1,\xe9\n")
+        assert run(*train_args(workspace)) == 0
+        model = ["--model", workspace / "model.json", "--input", bad]
+        data = ["--input", bad, "--schema", workspace / "schema.json"]
+        argv = {
+            "evaluate": ["evaluate", *model],
+            "predict": ["predict", *model, "--out", out],
+            "train": train_args(workspace, **{"--input": bad, "--model-out": out}),
+            "prepare": ["prepare", *data, "--out", out],
+            "corr": ["corr", *data],
+            "balance": ["balance", *data, "--out", out],
+            "tune": ["tune", *data, "--grid", "2x1", "--folds", 2, "--report-out", out],
+        }[command]
+        code, err = run_quietly(*argv)
+        assert code == 3
+        assert err == [f"error: {bad}: not UTF-8 text (invalid continuation byte)"]
+        assert not out.exists()
+
+    def test_non_utf8_schema_is_3(self, workspace):
+        schema = workspace / "schema.json"
+        schema.write_bytes(schema.read_bytes().replace(b"Month", b"M\xe9nth"))
+        code, err = run_quietly(
+            "prepare", "--input", workspace / "data.csv", "--schema", schema,
+            "--out", workspace / "x.csv")
+        assert code == 3 and err == [f"error: {schema}: not UTF-8 text (invalid continuation byte)"]
+
+    def test_non_utf8_model_is_3(self, cli_model):
+        model, data = cli_model
+        bad = model.with_name("latin1.json")
+        bad.write_bytes(model.read_bytes().replace(b'"strategy"', b'"str\xe9tegy"'))
+        code, err = run_quietly("evaluate", "--model", bad, "--input", data)
+        assert code == 3 and err == [f"error: {bad}: not UTF-8 text (invalid continuation byte)"]
+
+    @pytest.mark.parametrize("key, value, message", [
+        (None, None, "model file carries no encoding plan"),
+        ("positive_label_value", 1, "positive_label_value 1 is not a string"),
+        ("label_name", 7, "column name 7 is not a string"),
+        ("feature_columns", [[3, "continuous"]], "column name 3 is not a string"),
+    ], ids=["no-plan", "numeric-positive-value", "numeric-label-name", "numeric-column-name"])
+    def test_bad_plan_is_3(self, cli_model, key, value, message):
+        model, data = cli_model
+        bad = model.with_name("bad-plan.json")
+        doc = json.loads(model.read_text())
+        if key is None:
+            doc["encoding_plan"] = None
+        else:
+            doc["encoding_plan"][key] = value
+        # the digest matches, so only the plan's own checks can reject it
+        doc["schema_digest"] = _plan_digest(doc["encoding_plan"])
+        bad.write_text(json.dumps(doc))
+        code, err = run_quietly("evaluate", "--model", bad, "--input", data)
+        assert code == 3 and len(err) == 1 and message in err[0], err
+
+    @pytest.mark.parametrize("path, value", [
+        (("trees", 0, "feature", 0), 5.5),
+        (("trees", 0, "left", 0), 1.5),
+        (("trees", 0, "right", 0), 2.0),
+        (("trees", 0, "n_features"), 26.9),
+        (("n_features",), 26.9),
+        (("n_features",), True),
+    ], ids=["feature", "left", "right", "tree-width", "model-width", "bool-width"])
+    def test_non_integer_model_field_is_3(self, cli_model, path, value):
+        model, data = cli_model
+        bad = model.with_name("non-integer.json")
+        write_replaced(model, path, value, bad)
+        code, err = run_quietly("evaluate", "--model", bad, "--input", data)
+        assert code == 3
+        assert err == [f"error: malformed model file: expected an integer, got {value!r}"]
+
+    def test_failed_train_leaves_no_model(self, tmp_path):
+        # 20 rows, 4 positive: the 2-row validation split holds one class.
+        data, schema, model = tmp_path / "d.csv", tmp_path / "s.json", tmp_path / "m.json"
+        assert run("synth", "--rows", 20, "--positive-frac", 0.2, "--seed", 3,
+                   "--out", data, "--schema-out", schema) == 0
+        code, err = run_quietly("train", "--input", data, "--schema", schema,
+                                "--train-frac", 0.9, "--seed", 1, "--model-out", model)
+        assert code == 3 and err == ["error: ROC needs both classes present"]
+        assert not model.exists()
+
     def test_filter_syntax_error_is_3(self, workspace, capsys):
         code = run(
             "prepare", "--input", workspace / "data.csv",
@@ -314,8 +460,10 @@ class TestExitCodes:
         '{"columns": [{"name": "y", "kind": "label"}, {"name": "y", "kind": "label"}],'
         ' "positive_label_value": "1"}',
         '{"columns": [{"name": "x", "kind": "categorical"}], "positive_label_value": "1"}',
+        '{"columns": [{"name": "Arr_Del_15", "kind": "label"}], "positive_label_value": 1}',
+        '{"columns": [{"name": 1, "kind": "label"}], "positive_label_value": "1"}',
     ], ids=["not-json", "no-columns", "no-positive-value", "unknown-kind",
-            "duplicate-names", "no-label"])
+            "duplicate-names", "no-label", "numeric-positive-value", "numeric-name"])
     def test_malformed_schema_is_3(self, workspace, capsys, text):
         (workspace / "bad-schema.json").write_text(text)
         code = run(
@@ -358,6 +506,7 @@ class TestExitCodes:
         ("synth", "--positive-frac", 1.5),
         ("train", "--smote-percent", 150),
         ("balance", "--smote-percent", -100),
+        ("train", "--threads", 0),
     ])
     def test_flag_out_of_range_is_2(self, workspace, capsys, command, flag, value):
         out = workspace / "out.csv"
@@ -408,7 +557,7 @@ class TestFuzzedModelFile:
         top = data.draw(st.sampled_from(sorted({p[0] for p in paths})))
         path = data.draw(st.sampled_from([p for p in paths if p[0] == top]))
         value = data.draw(st.sampled_from(
-            [float("nan"), float("inf"), float("-inf"), -1, 0, 2, [], "x", None]))
+            [float("nan"), float("inf"), float("-inf"), -1, 0, 0.5, 2, 24.5, [], "x", None]))
         bad = model.with_name("fuzzed.json")
         write_replaced(model, path, value, bad)
 
@@ -423,6 +572,51 @@ class TestFuzzedModelFile:
             loaded, _ = db.load_model(bad)
             _, fm = _load_with_plan(csv, loaded, labelled=True)
             assert np.isfinite(db.decision_function(loaded, fm.values)).all(), (path, value)
+
+
+@st.composite
+def one_csv_edit(draw, lines):
+    """`lines` (a CSV's lines, header first) as UTF-8 bytes after one random edit:
+    a field replaced with random text, a row cut short or made longer, a byte
+    from 0x80-0xFF inserted, or a blank line added."""
+    lines = list(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    cells = lines[i].split(",")
+    kind = draw(st.sampled_from(["field", "arity", "byte", "blank"]))
+    if kind == "field":
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.text(max_size=6))
+        lines[i] = ",".join(cells)
+    elif kind == "arity":
+        cut = draw(st.integers(1, len(cells) - 1))
+        lines[i] = ",".join(cells[:-cut] if draw(st.booleans()) else cells + ["7"] * cut)
+    elif kind == "blank":
+        lines.insert(i, "")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    if kind == "byte":
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+    return data
+
+
+class TestFuzzedCsvFile:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_one_edit_exits_0_3_or_4(self, cli_model, data):
+        model, clean = cli_model
+        schema, csv_path = model.with_name("schema.json"), model.with_name("fuzzed.csv")
+        csv_path.write_bytes(data.draw(one_csv_edit(clean.read_text().splitlines()[:81])))
+        model_out = model.with_name("fuzzed-model.json")
+        model_out.unlink(missing_ok=True)
+        for argv in (
+            ["evaluate", "--model", model, "--input", csv_path],
+            ["train", "--input", csv_path, "--schema", schema, "--estimators", 3,
+             "--max-depth", 2, "--model-out", model_out],
+        ):
+            code, err = run_quietly(*argv)
+            assert code in (0, 3, 4), (argv[0], err)
+            if code:
+                assert len(err) == 1 and err[0].startswith("error: "), (argv[0], err)
+        assert model_out.exists() == (code == 0)
 
 
 class TestDeterminism:
