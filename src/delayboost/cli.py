@@ -243,10 +243,11 @@ def cmd_corr(args):
         columns.append(schema.label_name)
     result = encode.pearson_matrix(fm, columns)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("," + ",".join(result.names) + "\n")
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")  # a name may hold a comma
+            writer.writerow(["", *result.names])
             for name, row in zip(result.names, result.matrix):
-                fh.write(name + "," + ",".join(repr(float(v)) for v in row) + "\n")
+                writer.writerow([name, *(repr(float(v)) for v in row)])
     else:
         width = max(len(n) for n in result.names)
         print(" " * width + "  " + "  ".join(n.rjust(width) for n in result.names))

@@ -7,13 +7,16 @@ knows those sentinels; others call ``Dataset.missing(name)``.  Every
 operation returns a new object and preserves the input.
 
 CSV dialect: UTF-8 (a leading byte-order mark is skipped), comma separated,
-mandatory header row, double-quote quoting with doubled-quote escaping, empty
-field = missing value.  A file holding NUL is rejected, because ``str``
+mandatory header row, empty field = missing value.  Lines end in LF, CRLF or
+CR, and blank lines are skipped.  A quoted field opens and closes with ``"``
+and writes a ``"`` inside as ``""``; a ``"`` anywhere else, or a quote left
+open, is a data error.  A file holding NUL is rejected, because ``str``
 arrays drop trailing NULs.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -228,65 +231,186 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
     ignored.  Empty fields become missing cells and continuous cells are
     parsed as decimal numbers.  With `missing_label_ok`, a file without the
     label column loads with every label cell missing (for prediction-only input).
+    Blank lines are skipped, but line numbers in messages count them, with
+    the header as line 1.
+
+    The file is split with array operations over its bytes, and each column's
+    distinct cells are parsed once.  A bad cell in an earlier row is named
+    before a later row of the wrong length.
 
     Raises:
+        EmptyInputError: the file holds no header.
         MissingColumnError: a schema column is absent from the header.
         SchemaMismatchError: a schema column appears twice in the header.
         RowArityError: a data row's field count differs from the header's.
         FieldParseError: non-numeric or non-finite text in a continuous
-            column, a NUL character anywhere in the file, or a file that is
-            not UTF-8.
+            column, a quote that breaks the quoting rule, a NUL character
+            anywhere in the file, or a file that is not UTF-8.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        try:  # the scan decodes every byte, so the reader below meets no bad UTF-8
-            if any("\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), "")):
-                raise FieldParseError(f"{path}: NUL character in file")
-        except UnicodeDecodeError as exc:
-            raise FieldParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-        fh.seek(0)
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise EmptyInputError(f"{path}: empty file, header required") from None
-        header = [h.strip() for h in header]
-        present = []
-        for col in schema.columns:
-            if header.count(col.name) > 1:
-                raise SchemaMismatchError(f"{path}: column {col.name!r} appears twice in header")
-            if col.name in header:
-                present.append(col)
-            elif not (missing_label_ok and col.kind == LABEL):
-                raise MissingColumnError(f"{path}: column {col.name!r} not in header")
-        positions = [header.index(col.name) for col in present]
-        texts = {col.name: [] for col in present}
-        n_rows, fields = 0, header
-        for fields in reader:
-            if len(fields) != len(header):
-                break  # raised after the parse, which names any earlier bad cell first
-            n_rows += 1
-            for cells, p in zip(texts.values(), positions):
-                cells.append(fields[p])
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        columns = [
-            _per_value(
-                np.array(texts.get(c.name, [""] * n_rows), dtype=np.str_),
-                lambda text, c=c: _parse_cell(text, c.kind, c.name, line=0),
-                np.float64 if c.kind == CONTINUOUS else np.str_,
-            )
-            for c in schema.columns
-        ]
-    except FieldParseError:
-        # Name the first bad cell in row order, as a row-by-row parse would.
-        for line_no, row in enumerate(zip(*texts.values()), start=2):
-            for col, text in zip(present, row):
-                _parse_cell(text, col.kind, col.name, line_no)
-        raise
-    if len(fields) != len(header):
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FieldParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if b"\0" in data:
+        raise FieldParseError(f"{path}: NUL character in file")
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    buf = np.frombuffer(data, np.uint8)[bom:]
+    starts, ends, count = _split_fields(buf, path)
+    if not count.size:
+        raise EmptyInputError(f"{path}: empty file, header required")
+
+    header = [_unquote(buf[s:e].tobytes()).strip()
+              for s, e in zip(starts[:count[0]], ends[:count[0]])]
+    present = []
+    for col in schema.columns:
+        if header.count(col.name) > 1:
+            raise SchemaMismatchError(f"{path}: column {col.name!r} appears twice in header")
+        if col.name in header:
+            present.append(col)
+        elif not (missing_label_ok and col.kind == LABEL):
+            raise MissingColumnError(f"{path}: column {col.name!r} not in header")
+
+    # Rows run up to the first record of the wrong length; from there on the
+    # fields are out of step with the header.
+    misfit = np.flatnonzero(count[1:] != len(header))
+    n_rows = misfit[0] if misfit.size else count.size - 1
+    cells = slice(count[0], count[0] + n_rows * len(header))
+    cell_starts = starts[cells].reshape(n_rows, len(header))
+    cell_lengths = ends[cells].reshape(n_rows, len(header)) - cell_starts
+    # zero bytes after the text, so a window as wide as the longest cell,
+    # and at least 8 bytes wide, fits at every cell's start
+    padded = np.concatenate([buf, np.zeros(max(8, cell_lengths.max(initial=0)), np.uint8)])
+    columns, bad_cells = {}, []
+    for order, col in enumerate(present):
+        p = header.index(col.name)
+        distinct, inverse = _distinct_cells(padded, cell_starts[:, p], cell_lengths[:, p])
+        texts = [_unquote(raw) for raw in distinct]
+        values = [_parse_or_none(text, col) for text in texts]
+        bad = np.flatnonzero(np.array([v is None for v in values], dtype=bool)[inverse])
+        if bad.size:  # this column's first bad cell in row order
+            bad_cells.append((bad[0], order, texts[inverse[bad[0]]], col))
+        dtype = np.float64 if col.kind == CONTINUOUS else np.str_
+        columns[col.name] = np.array(values, dtype=dtype)[inverse]
+    if bad_cells:
+        row, _, text, col = min(bad_cells)
+        _parse_cell(text, col.kind, col.name, line=_line_number(buf, cell_starts[row, 0]))
+    if misfit.size:
+        record = misfit[0] + 1
+        line = _line_number(buf, starts[count[:record].sum()])
         raise RowArityError(
-            f"{path}: line {n_rows + 2} has {len(fields)} fields, header has {len(header)}"
+            f"{path}: line {line} has {count[record]} fields, header has {len(header)}"
         )
-    return Dataset(schema, columns)
+    return Dataset(schema, [
+        columns.get(c.name, np.full(n_rows, "", dtype=np.str_)) for c in schema.columns
+    ])
+
+
+_QUOTE, _COMMA, _LF, _CR = b'"'[0], b","[0], b"\n"[0], b"\r"[0]
+
+
+def _split_fields(buf: np.ndarray, path):
+    """Byte spans of the fields of `buf`, and the field count of each record.
+
+    Returns (starts, ends, count): field i is buf[starts[i]:ends[i]], with
+    any quotes still on, and the records hold count[0], count[1], ... fields
+    in turn.  A comma ends a field, and a run of line-end bytes (CR or LF)
+    ends a record, both only outside quotes, that is after an even number
+    of quote bytes.  A run holding more than one line end also holds blank
+    records, which are skipped.
+
+    Raises FieldParseError for a quote that breaks the quoting rule.
+    """
+    is_quote = buf == _QUOTE
+    # newline[i] tells whether byte i - 1 ends a line; bytes -1 and n do
+    newline = np.ones(buf.size + 2, bool)
+    np.logical_or(buf == _CR, buf == _LF, out=newline[1:-1])
+    comma = np.zeros(buf.size + 1, bool)
+    np.equal(buf, _COMMA, out=comma[:-1])
+    if is_quote.any():
+        inside = np.logical_xor.accumulate(is_quote)
+        _check_quotes(buf, is_quote, inside, newline[1:-1] | comma[:-1], path)
+        newline[1:-1] &= ~inside
+        comma[:-1] &= ~inside
+    record_end = newline[1:] & ~newline[:-1]  # the first byte of each run of line ends
+    begins = newline[:-1] & ~newline[1:]  # the first byte after each run
+    begins[1:] |= comma[:-1]
+    ends = np.flatnonzero(comma | record_end)
+    last = np.flatnonzero(record_end[ends])
+    return np.flatnonzero(begins), ends, np.diff(last, prepend=-1)
+
+
+def _line_number(buf: np.ndarray, at: int) -> int:
+    """The number of the record that holds byte `at`, counting blank records, from 1."""
+    head = buf[:at]
+    cr, lf = head == _CR, head == _LF
+    line_end = cr | lf
+    line_end[1:] &= ~(lf[1:] & cr[:-1])  # the LF of a CRLF ends no line of its own
+    is_quote = head == _QUOTE
+    if is_quote.any():
+        line_end &= ~np.logical_xor.accumulate(is_quote)
+    return 1 + int(np.count_nonzero(line_end))
+
+
+def _check_quotes(buf, is_quote, inside, separator, path) -> None:
+    """Raise FieldParseError unless every quote opens, closes or doubles within a field.
+
+    `inside` is true from an odd-numbered quote byte (counting from 1) up to
+    the next quote.  So a quote where `inside` turns true must open a field
+    or be the second of a doubled pair: it follows a separator, a quote or
+    the start of the text.  A quote where it turns false must close a field
+    or be the first of a pair: a separator, a quote or the end follows it.
+    """
+    edge = np.ones(buf.size + 2, bool)  # edge[i]: byte i - 1 bounds a field; bytes -1 and n do
+    np.logical_or(separator, is_quote, out=edge[1:-1])
+    wrong = is_quote & ~((edge[:-2] | ~inside) & (edge[2:] | inside))
+    if wrong.any():
+        at = np.argmax(wrong)
+        what = "quote inside an unquoted field" if inside[at] else "text after a closing quote"
+    elif inside[-1]:
+        opens = is_quote & inside
+        opens[1:] &= ~is_quote[:-1]  # the second quote of a pair opens nothing
+        at = np.flatnonzero(opens)[-1]
+        what = "quote opened here is never closed"
+    else:
+        return
+    raise FieldParseError(f"{path}: line {_line_number(buf, at)}: {what}")
+
+
+def _distinct_cells(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """The distinct byte strings padded[start:start + length], and each cell's index into them.
+
+    Cells are compared as fixed-width keys: one big-endian uint64 each when
+    the longest cell fits in 8 bytes, else bytes ("S") as wide as the longest.
+    """
+    width = int(lengths.max(initial=0))
+    if width <= 8:
+        words = np.ndarray(padded.size - 7, ">u8", padded, strides=(1,))
+        keys, inverse = np.unique(words[starts] & _FIRST_BYTES[lengths], return_inverse=True)
+        return keys.astype(">u8").view("S8").tolist(), inverse
+    cells = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
+    cells[np.arange(width) >= lengths[:, None]] = 0
+    keys, inverse = np.unique(cells.view(f"S{width}").ravel(), return_inverse=True)
+    return keys.tolist(), inverse
+
+
+# _FIRST_BYTES[k] keeps the first k bytes of a big-endian 8-byte word
+_FIRST_BYTES = ~(np.uint64(2**64 - 1) >> np.arange(0, 72, 8, dtype=np.uint64))
+
+
+def _unquote(raw: bytes) -> str:
+    """A field's text: decoded, and if quoted, without its quotes and with \"\" read as \"."""
+    text = raw.decode("utf-8")
+    return text[1:-1].replace('""', '"') if text.startswith('"') else text
+
+
+def _parse_or_none(text: str, col: Column):
+    """The cell as `_parse_cell` reads it, or None where it raises FieldParseError."""
+    try:
+        return _parse_cell(text, col.kind, col.name, line=0)
+    except FieldParseError:
+        return None
 
 
 def write_csv(ds: Dataset, path) -> None:

@@ -178,6 +178,23 @@ class TestPipeline:
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) == 1 + 12 + 4 and {len(row) for row in rows} == {4}
 
+    def test_corr_quotes_a_name_with_a_comma(self, tmp_path):
+        rows = [f"{i},{i * i % 7},{int(i % 3 == 0)}" for i in range(8)]
+        (tmp_path / "data.csv").write_text('"Dep, Time",Arr,Late\n' + "\n".join(rows) + "\n")
+        schema = db.Schema((db.Column("Dep, Time", "continuous"), db.Column("Arr", "continuous"),
+                            db.Column("Late", "label")), "1")
+        (tmp_path / "schema.json").write_text(schema.to_json())
+        assert run(
+            "corr", "--input", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
+            "--out", tmp_path / "corr.csv",
+        ) == 0
+        with open(tmp_path / "corr.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["", "Dep, Time", "Arr", "Late"]
+        assert [row[0] for row in rows[1:]] == ["Dep, Time", "Arr", "Late"]
+        assert {len(row) for row in rows} == {4}
+        assert float(rows[1][1]) == 1.0
+
     def test_train_records_the_timestamp(self, workspace):
         assert run(*train_args(workspace, **{"--timestamp": "2019-06-01T00:00:00"})) == 0
         _, metadata = db.load_model(workspace / "model.json")
@@ -536,6 +553,33 @@ class TestExitCodes:
         assert not (workspace / "preds.csv").exists()
 
 
+class TestCsvInput:
+    @pytest.mark.parametrize("cell, message", [
+        ('"1.00', "line 4: quote opened here is never closed"),
+        ('1"00', "line 4: quote inside an unquoted field"),
+        ('"1.00"x', "line 4: text after a closing quote"),
+    ], ids=["unterminated", "inside-unquoted", "after-closing"])
+    def test_quote_outside_the_rule_is_3(self, workspace, cell, message):
+        lines = (workspace / "data.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + "," + cell
+        bad = workspace / "quoted.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, err = run_quietly(
+            "prepare", "--input", bad, "--schema", workspace / "schema.json",
+            "--out", workspace / "prepared.csv")
+        assert code == 3 and err == [f"error: {bad}: {message}"]
+        assert not (workspace / "prepared.csv").exists()
+
+    def test_blank_lines_are_skipped(self, workspace):
+        lines = (workspace / "data.csv").read_text().splitlines()
+        spaced = workspace / "spaced.csv"
+        spaced.write_text("\n".join(lines[:5] + [""] + lines[5:]) + "\n\n")
+        for name, path in (("plain.csv", workspace / "data.csv"), ("spaced-out.csv", spaced)):
+            assert run("prepare", "--input", path, "--schema", workspace / "schema.json",
+                       "--out", workspace / name) == 0
+        assert (workspace / "spaced-out.csv").read_bytes() == (workspace / "plain.csv").read_bytes()
+
+
 def _scalar_paths(doc, path=()):
     """The key path of every scalar (and empty container) in a JSON document."""
     if isinstance(doc, dict):
@@ -560,6 +604,10 @@ class TestFuzzedModelFile:
             [float("nan"), float("inf"), float("-inf"), -1, 0, 0.5, 2, 24.5, [], "x", None]))
         bad = model.with_name("fuzzed.json")
         write_replaced(model, path, value, bad)
+        if top == "encoding_plan":  # a matching digest lets the plan's own checks run
+            doc = json.loads(bad.read_text())
+            doc["schema_digest"] = _plan_digest(doc["encoding_plan"])
+            bad.write_text(json.dumps(doc))
 
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

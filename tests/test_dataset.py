@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 
 from delayboost import dataset
 from delayboost.dataset import (
+    _parse_cell,
+    _per_value,
     CATEGORICAL,
     CONTINUOUS,
     LABEL,
@@ -22,6 +26,7 @@ from delayboost.dataset import (
 )
 from delayboost.errors import (
     CannotDropLabelError,
+    DataError,
     EmptyInputError,
     FieldParseError,
     InvalidSpecError,
@@ -31,6 +36,66 @@ from delayboost.errors import (
     UnknownColumnError,
     UnrecognizedLabelValueError,
 )
+
+def reference_load_csv(path, schema, missing_label_ok=False):
+    """`load_csv` as one `csv.reader` loop over the rows.
+
+    The straightforward reader that `load_csv` must match on every file
+    inside the quoting rule with no blank line: the same columns, or the same
+    error.  It differs on purpose where `csv.reader` accepts what the rule
+    does not (an unclosed quote, a quote inside an unquoted field, text after
+    a closing quote) and on blank lines, which it reads as rows of 0 fields.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        try:
+            if any("\0" in chunk for chunk in iter(lambda: fh.read(1 << 20), "")):
+                raise FieldParseError(f"{path}: NUL character in file")
+        except UnicodeDecodeError as exc:
+            raise FieldParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+        fh.seek(0)
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise EmptyInputError(f"{path}: empty file, header required") from None
+        header = [h.strip() for h in header]
+        present = []
+        for col in schema.columns:
+            if header.count(col.name) > 1:
+                raise SchemaMismatchError(f"{path}: column {col.name!r} appears twice in header")
+            if col.name in header:
+                present.append(col)
+            elif not (missing_label_ok and col.kind == LABEL):
+                raise MissingColumnError(f"{path}: column {col.name!r} not in header")
+        positions = [header.index(col.name) for col in present]
+        texts = {col.name: [] for col in present}
+        n_rows, fields = 0, header
+        for fields in reader:
+            if len(fields) != len(header):
+                break
+            n_rows += 1
+            for cells, p in zip(texts.values(), positions):
+                cells.append(fields[p])
+    try:
+        columns = [
+            _per_value(
+                np.array(texts.get(c.name, [""] * n_rows), dtype=np.str_),
+                lambda text, c=c: _parse_cell(text, c.kind, c.name, line=0),
+                np.float64 if c.kind == CONTINUOUS else np.str_,
+            )
+            for c in schema.columns
+        ]
+    except FieldParseError:
+        for line_no, row in enumerate(zip(*texts.values()), start=2):
+            for col, text in zip(present, row):
+                _parse_cell(text, col.kind, col.name, line_no)
+        raise
+    if len(fields) != len(header):
+        raise RowArityError(
+            f"{path}: line {n_rows + 2} has {len(fields)} fields, header has {len(header)}"
+        )
+    return Dataset(schema, columns)
+
 
 TWO_COL = Schema((Column("CRS_Dep", CONTINUOUS), Column("ArrDel15", LABEL)), "1")
 
@@ -143,6 +208,160 @@ class TestLoadCsv:
         write_csv(ds, out)
         again = load_csv(out, ds.schema)
         assert rows(again) == rows(ds)
+
+
+
+LABELLED = Schema((Column("a", CONTINUOUS), Column("y", LABEL)), "1")
+
+
+class TestCsvDialect:
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends(self, tmp_path, end):
+        text = end.join(["a,y", "930,0", '1450,"1"']) + end
+        assert rows(load_csv(write(tmp_path, text), LABELLED)) == [(930.0, "0"), (1450.0, "1")]
+
+    def test_quoted_line_ends_stay_in_the_cell(self, tmp_path):
+        schema = Schema((Column("name", CATEGORICAL), Column("y", LABEL)), "1")
+        path = tmp_path / "data.csv"
+        path.write_bytes(b'name,y\r\n"one\r\ntwo\nthree\rfour",1\r\n')
+        assert load_csv(path, schema).column("name").tolist() == ["one\r\ntwo\nthree\rfour"]
+
+    def test_cells_of_every_width(self, tmp_path):
+        schema = Schema((Column("name", CATEGORICAL), Column("y", LABEL)), "1")
+        names = ["", "a", "12345678", "123456789", "x" * 16, "y" * 17, "é" * 40, "a" * 8]
+        text = "name,y\n" + "".join(f'"{n}",1\n' for n in names)
+        assert load_csv(write(tmp_path, text), schema).column("name").tolist() == names
+
+    def test_trailing_blank_line_is_skipped(self, tmp_path):
+        assert rows(load_csv(write(tmp_path, "a,y\n930,0\n\n"), LABELLED)) == [(930.0, "0")]
+
+    def test_blank_line_mid_file_is_skipped(self, tmp_path):
+        ds = load_csv(write(tmp_path, "a,y\n930,0\n\r\n\n1450,1\n"), LABELLED)
+        assert rows(ds) == [(930.0, "0"), (1450.0, "1")]
+
+    def test_header_and_blank_lines_only(self, tmp_path):
+        assert load_csv(write(tmp_path, "a,y\n\n\r\n"), LABELLED).n_rows == 0
+
+    @pytest.mark.parametrize("data", [b"", b"\xef\xbb\xbf", b"\n\r\n"],
+                             ids=["empty", "byte-order-mark", "blank-lines"])
+    def test_no_header_is_empty_input(self, tmp_path, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        with pytest.raises(EmptyInputError, match="empty file, header required"):
+            load_csv(path, LABELLED)
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,y\n\n930,0\nzz,1\n", "line 4: non-numeric value 'zz'"),
+        ("a,y\r\n\r\n\r\n930\r\n", "line 4 has 1 fields, header has 2"),
+        ('a,y\n"\n\n",0\n\n930,"1\n', "line 4: quote opened here is never closed"),
+    ], ids=["bad-cell", "arity", "quote"])
+    def test_line_numbers_count_blank_lines(self, tmp_path, text, message):
+        with pytest.raises(DataError, match=message):
+            load_csv(write(tmp_path, text), LABELLED)
+
+
+class TestQuotingRule:
+    def test_unterminated_quote(self, tmp_path):
+        path = write(tmp_path, 'a,y\n1,0\n2,"1\n3,0\n4,1\n5,0\n')
+        with pytest.raises(FieldParseError, match="line 3: quote opened here is never closed"):
+            load_csv(path, LABELLED)
+
+    def test_quote_inside_unquoted_field(self, tmp_path):
+        path = write(tmp_path, 'a,y,z\n1,0,ab"c\n')
+        with pytest.raises(FieldParseError, match="line 2: quote inside an unquoted field"):
+            load_csv(path, LABELLED)
+
+    def test_text_after_closing_quote(self, tmp_path):
+        path = write(tmp_path, 'a,y\n1,0\n2,"0"x\n')
+        with pytest.raises(FieldParseError, match="line 3: text after a closing quote"):
+            load_csv(path, LABELLED)
+
+    def test_doubled_quotes_inside_quoted_field(self, tmp_path):
+        schema = Schema((Column("name", CATEGORICAL), Column("y", LABEL)), "1")
+        text = 'name,y\n"""",1\n"""a""",0\n"a,""b""",1\n""," 0"\n'
+        ds = load_csv(write(tmp_path, text), schema)
+        assert ds.column("name").tolist() == ['"', '"a"', 'a,"b"', ""]
+
+
+# One cell of a random CSV: ASCII, what needs quoting (a comma, a quote, a
+# line end) and multi-byte UTF-8, up to 12 pieces, so some cells pass 8 and
+# 16 bytes.
+_CELL = st.lists(
+    st.one_of(st.sampled_from([",", '"', "\n", "\r\n", "\r", " ", ".", "-", "0", "7", "ab"]),
+              st.characters(codec="utf-8", exclude_characters="\0")),
+    max_size=12,
+).map("".join)
+_NUMBER_TEXT = st.one_of(
+    st.integers(-3000, 3000).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(["", " 12 ", "0.00", "1.5e3", "abc", "nan", "inf", "-Infinity", "1e400"]),
+)
+_HEADER_EXTRAS = st.lists(st.sampled_from(["x", " y z ", "Über", "a,b", 'q"t', "c0"]), max_size=2)
+
+
+def _field(draw, cell: str, only_field: bool) -> str:
+    """`cell` as CSV: quoted when it must be, and sometimes when it need not."""
+    must = any(ch in cell for ch in ',"\r\n') or (only_field and cell == "")
+    if must or draw(st.booleans()):
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+@st.composite
+def _csv_files(draw):
+    """(bytes, schema, missing_label_ok): a random CSV inside the quoting rule, no blank line.
+
+    It varies the line end (LF, CRLF, CR), the byte-order mark, the final
+    line end, quoting, short and long rows, bad continuous cells, extra and
+    repeated header columns, and a missing label column.  A few files get one
+    NUL or one byte from 0x80-0xFF.
+    """
+    kinds = draw(st.lists(st.sampled_from([CATEGORICAL, CONTINUOUS]), max_size=3)) + [LABEL]
+    schema = Schema(tuple(Column(f"c{i}", k) for i, k in enumerate(kinds)), "1")
+    missing_label_ok = draw(st.booleans())
+    names = schema.names
+    if draw(st.booleans()):
+        names = names[:-1]  # loads only with missing_label_ok
+    header = draw(st.permutations(names + draw(_HEADER_EXTRAS))) or ["x"]  # never a blank line
+    kind_of = {c.name: c.kind for c in schema.columns}
+    records = [header]
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(_NUMBER_TEXT if kind_of.get(n) == CONTINUOUS else _CELL) for n in header]
+        size = draw(st.sampled_from([len(cells)] * 6 + [len(cells) - 1, len(cells) + 1]))
+        records.append((cells + ["7"])[: max(size, 1)])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(
+        ",".join(_field(draw, c, len(r) == 1) for c in r)
+        for r in records
+    )
+    data = (text + (end if draw(st.booleans()) else "")).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    stray = draw(st.sampled_from([None] * 8 + [0, 0x80, 0xC3, 0xFF]))
+    if stray is not None:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([stray]) + data[at:]
+    return data, schema, missing_label_ok
+
+
+def _outcome(load, path, schema, missing_label_ok):
+    """Each column's dtype and bytes, or the class and message of the error."""
+    try:
+        ds = load(path, schema, missing_label_ok)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return [(c.dtype.str, c.tobytes()) for c in ds.columns]
+
+
+class TestLoadMatchesRowReader:
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_files())
+    def test_same_columns_or_same_error(self, tmp_path_factory, drawn):
+        data, schema, missing_label_ok = drawn
+        path = tmp_path_factory.mktemp("csv") / "data.csv"
+        path.write_bytes(data)
+        assert _outcome(load_csv, path, schema, missing_label_ok) == _outcome(
+            reference_load_csv, path, schema, missing_label_ok)
 
 
 class TestConcat:
