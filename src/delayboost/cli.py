@@ -27,7 +27,6 @@ malformed schema file), 4 numeric or training error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -243,11 +242,9 @@ def cmd_corr(args):
         columns.append(schema.label_name)
     result = encode.pearson_matrix(fm, columns)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")  # a name may hold a comma
-            writer.writerow(["", *result.names])
-            for name, row in zip(result.names, result.matrix):
-                writer.writerow([name, *(repr(float(v)) for v in row)])
+        cells = [(result.names, np.arange(len(result.names)))]
+        cells += [dataset._per_value(column, repr) for column in result.matrix.T]
+        dataset._write_records(args.out, ["", *result.names], cells, "\n")
     else:
         width = max(len(n) for n in result.names)
         print(" " * width + "  " + "  ".join(n.rjust(width) for n in result.names))
@@ -342,10 +339,9 @@ def cmd_predict(args):
     scores = boost.decision_function(model, fm.values)
     probas = boost.sigmoid(scores)
     labels = boost.label_scores(scores, args.threshold)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("predicted_label,probability,decision_score\n")
-        fh.writelines(map("{},{!r},{!r}\n".format,
-                          labels.tolist(), probas.tolist(), scores.tolist()))
+    columns = list(map(dataset._per_value, (labels, probas, scores), (str, repr, repr)))
+    dataset._write_records(args.out, ["predicted_label", "probability", "decision_score"],
+                           columns, "\n")
     if fm.unseen_categories:
         print(f"warning: {fm.unseen_categories} cells held categories unseen "
               f"at training time", file=sys.stderr)
@@ -466,22 +462,10 @@ def _write_json(doc, path):
 
 
 def _write_matrix(fm: encode.FeatureMatrix, path):
-    """Write fm as CSV, each cell as `repr(float)` and the label as an int.
-
-    The header is quoted as the csv module quotes it, since an encoded name
-    such as `City=Dallas, TX` may hold a comma; the cells never need quoting.
-    Each column's distinct values are formatted once.  They are keyed on
-    their bit pattern, not their value, so -0.0 keeps its sign.
-    """
-    columns = []
-    for column in fm.values.T:
-        bits, inverse = np.unique(column.view(np.uint64), return_inverse=True)
-        text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-        columns.append(text[inverse].tolist())
-    columns.append([f"{label}\n" for label in fm.labels.tolist()])
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        csv.writer(fh, lineterminator="\n").writerow([*fm.column_names, fm.plan.label_name])
-        fh.writelines(map(",".join, zip(*columns)))
+    """Write fm as CSV, each cell as `repr(float)` and the label as an int."""
+    columns = [dataset._per_value(column, repr) for column in fm.values.T]
+    columns.append(dataset._per_value(fm.labels, str))
+    dataset._write_records(path, [*fm.column_names, fm.plan.label_name], columns, "\n")
 
 
 def _parse_grid(text: str) -> tune.Grid:

@@ -6,18 +6,17 @@ A :class:`Dataset` stores one read-only NumPy array per schema column:
 knows those sentinels; others call ``Dataset.missing(name)``.  Every
 operation returns a new object and preserves the input.
 
-CSV dialect: UTF-8 (a leading byte-order mark is skipped), comma separated,
-mandatory header row, empty field = missing value.  Lines end in LF, CRLF or
-CR, and blank lines are skipped.  A quoted field opens and closes with ``"``
-and writes a ``"`` inside as ``""``; a ``"`` anywhere else, or a quote left
-open, is a data error.  A file holding NUL is rejected, because ``str``
-arrays drop trailing NULs.
+CSV dialect, read by ``load_csv`` and written by ``_write_records``: UTF-8 (a
+leading byte-order mark is skipped), comma separated, mandatory header row,
+empty field = missing value.  Lines end in LF, CRLF or CR, and blank lines
+are skipped.  A quoted field opens and closes with ``"`` and writes a ``"``
+inside as ``""``; a ``"`` anywhere else, or a quote left open, is a data
+error.  A file holding NUL is rejected, as ``str`` arrays drop trailing NULs.
 """
 
 from __future__ import annotations
 
 import codecs
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -112,6 +111,7 @@ class Schema:
 class Dataset:
     """Columns in schema order: any 1-D sequences, with None for a missing cell.
 
+    An infinity in a continuous column is a ValueError, as no CSV cell holds one.
     Compared by identity, since a comparison of arrays has no single truth value.
     """
 
@@ -145,14 +145,17 @@ def _as_column(values, kind: str) -> np.ndarray:
     if col.dtype == object:
         col = np.where(np.equal(col, None), np.nan if kind == CONTINUOUS else "", col)
     col = col.astype(np.float64 if kind == CONTINUOUS else np.str_)
+    if kind == CONTINUOUS and np.isinf(col).any():
+        raise ValueError("a continuous column holds an infinity")
     col.flags.writeable = False
     return col
 
 
-def _per_value(col: np.ndarray, fn, dtype) -> np.ndarray:
-    """Apply `fn` once per distinct value of `col`; return its results per row."""
-    distinct, inverse = np.unique(col, return_inverse=True)
-    return np.array([fn(v) for v in distinct.tolist()], dtype=dtype)[inverse]
+def _per_value(col: np.ndarray, fn) -> tuple[list, np.ndarray]:
+    """`fn` of each distinct value of `col` (floats by bit pattern) and each row's index."""
+    key = col.view(np.uint64) if col.dtype == np.float64 else col
+    distinct, inverse = np.unique(key, return_inverse=True)
+    return [fn(v) for v in distinct.view(col.dtype).tolist()], inverse
 
 
 @dataclass(frozen=True)
@@ -205,7 +208,7 @@ def label_classes(ds: Dataset, positive_value: str) -> np.ndarray:
     return classes
 
 
-def _parse_cell(text: str, kind: str, column: str, line: int):
+def _parse_cell(text: str, kind: str, column: str, path, line: int):
     text = text.strip()
     if kind != CONTINUOUS:
         return text
@@ -215,11 +218,11 @@ def _parse_cell(text: str, kind: str, column: str, line: int):
         value = float(text)
     except ValueError:
         raise FieldParseError(
-            f"line {line}: non-numeric value {text!r} in continuous column {column!r}"
+            f"{path}: line {line}: non-numeric value {text!r} in continuous column {column!r}"
         ) from None
     if not math.isfinite(value):
         raise FieldParseError(
-            f"line {line}: non-finite value {text!r} in continuous column {column!r}"
+            f"{path}: line {line}: non-finite value {text!r} in continuous column {column!r}"
         )
     return value
 
@@ -295,7 +298,7 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
         columns[col.name] = np.array(values, dtype=dtype)[inverse]
     if bad_cells:
         row, _, text, col = min(bad_cells)
-        _parse_cell(text, col.kind, col.name, line=_line_number(buf, cell_starts[row, 0]))
+        _parse_cell(text, col.kind, col.name, path, _line_number(buf, cell_starts[row, 0]))
     if misfit.size:
         record = misfit[0] + 1
         line = _line_number(buf, starts[count[:record].sum()])
@@ -408,18 +411,35 @@ def _unquote(raw: bytes) -> str:
 def _parse_or_none(text: str, col: Column):
     """The cell as `_parse_cell` reads it, or None where it raises FieldParseError."""
     try:
-        return _parse_cell(text, col.kind, col.name, line=0)
+        return _parse_cell(text, col.kind, col.name, "", 0)
     except FieldParseError:
         return None
 
 
 def write_csv(ds: Dataset, path) -> None:
-    """Write a dataset in the same CSV dialect that load_csv reads."""
-    cells = [_per_value(col, _format_cell, object) for col in ds.columns]
+    """Write a dataset in the CSV dialect that load_csv reads, each record ending in CRLF."""
+    _write_records(path, ds.schema.names, [_per_value(c, _format_cell) for c in ds.columns], "\r\n")
+
+
+def _write_records(path, header, columns, line_end: str) -> None:
+    """Write the `header` names, then a record per row, each ending in `line_end`.
+
+    Each column is (texts, index): its distinct field texts and each row's index into
+    them.  A text is quoted, each quote doubled, if it holds a comma, a quote, CR or LF,
+    or if it is empty and alone in its record, since load_csv skips a blank line."""
+    def must(text):
+        return any(c in text for c in ',"\r\n') or (not text and len(header) == 1)
+
+    def quoted(texts):
+        if len(header) > 1 and not must("".join(texts)):  # one scan of the whole column
+            return texts
+        return ['"' + t.replace('"', '""') + '"' if must(t) else t for t in texts]
+
+    fields = [np.array(quoted(texts), dtype=object) for texts, _ in columns]
+    fields[-1] += line_end
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ds.schema.names)
-        writer.writerows(zip(*cells))
+        fh.write(",".join(quoted(header)) + line_end)
+        fh.writelines(map(",".join, zip(*(f[i].tolist() for f, (_, i) in zip(fields, columns)))))
 
 
 def _format_cell(cell) -> str:
@@ -427,7 +447,7 @@ def _format_cell(cell) -> str:
         return cell
     if math.isnan(cell):
         return ""
-    if math.isfinite(cell) and cell == int(cell) and abs(cell) < 1e15:
+    if cell == int(cell) and abs(cell) < 1e15:
         return str(int(cell))
     return repr(cell)
 
@@ -436,11 +456,9 @@ def concat(parts: list[Dataset]) -> Dataset:
     """Stack datasets row-wise; all parts must share an identical schema."""
     if not parts:
         raise EmptyInputError("concat requires at least one dataset")
-    schema = parts[0].schema
-    for p in parts[1:]:
-        if p.schema != schema:
-            raise SchemaMismatchError("datasets have differing schemas")
-    return Dataset(schema, [np.concatenate(cols) for cols in zip(*(p.columns for p in parts))])
+    if any(p.schema != parts[0].schema for p in parts):
+        raise SchemaMismatchError("datasets have differing schemas")
+    return Dataset(parts[0].schema, [np.concatenate(c) for c in zip(*(p.columns for p in parts))])
 
 
 def filter_equals(ds: Dataset, column: str, allowed) -> Dataset:
@@ -451,8 +469,8 @@ def filter_equals(ds: Dataset, column: str, allowed) -> Dataset:
     """
     col = ds.column(column)
     allowed = {str(v).strip() for v in allowed}
-    keep = _per_value(col, lambda cell: _format_cell(cell).strip() in allowed, bool)
-    keep &= ~ds.missing(column)
+    matches, inverse = _per_value(col, lambda cell: _format_cell(cell).strip() in allowed)
+    keep = np.array(matches, dtype=bool)[inverse] & ~ds.missing(column)
     return Dataset(ds.schema, [c[keep] for c in ds.columns])
 
 
@@ -465,9 +483,7 @@ def drop_columns(ds: Dataset, names) -> Dataset:
             raise CannotDropLabelError(f"cannot drop label column {n!r}")
     drop = set(names)
     keep = [i for i, c in enumerate(ds.schema.columns) if c.name not in drop]
-    schema = Schema(
-        tuple(ds.schema.columns[i] for i in keep), ds.schema.positive_label_value
-    )
+    schema = Schema(tuple(ds.schema.columns[i] for i in keep), ds.schema.positive_label_value)
     return Dataset(schema, [ds.columns[i] for i in keep])
 
 

@@ -2,9 +2,21 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from delayboost.cli import main
 from delayboost.encode import FeatureMatrix
+
+
+# Text as load_csv returns it: stripped (NUL is rejected on load).
+TEXT = st.text(
+    st.one_of(st.sampled_from(',"\n\r \t'), st.characters(codec="utf-8", exclude_characters="\0")),
+).map(str.strip)
+
+
+def header_names(size: int):
+    """`size` distinct non-empty header names, as load_csv reads them."""
+    return st.lists(TEXT.filter(bool), min_size=size, max_size=size, unique=True)
 
 
 def make_matrix(values, labels, names=None) -> FeatureMatrix:

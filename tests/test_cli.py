@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayboost as db
-from conftest import write_replaced
-from delayboost.cli import SMOTE_STAGE, _load_with_plan, main, stage_seed
+from conftest import header_names, write_replaced
+from delayboost.cli import SMOTE_STAGE, _load_with_plan, _write_matrix, main, stage_seed
 from delayboost.model_io import _plan_digest
 
 
@@ -178,6 +178,24 @@ class TestPipeline:
         rows = list(csv.reader(io.StringIO(text)))
         assert len(rows) == 1 + 12 + 4 and {len(row) for row in rows} == {4}
 
+    def test_balance_quotes_a_header_name_with_a_bare_cr(self, tmp_path):
+        names = ["a\rb", "c"] * 4
+        rows = [f'"{n}",{i},{int(i % 3 == 0)}' for i, n in enumerate(names)]
+        (tmp_path / "data.csv").write_bytes(("name,Dep,Late\n" + "\n".join(rows) + "\n").encode())
+        schema = db.Schema((db.Column("name", "categorical"), db.Column("Dep", "continuous"),
+                            db.Column("Late", "label")), "1")
+        (tmp_path / "schema.json").write_text(schema.to_json())
+        assert run(
+            "balance", "--input", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
+            "--one-hot", "name", "--smote-percent", 0, "--out", tmp_path / "balanced.csv",
+        ) == 0
+        assert (tmp_path / "balanced.csv").read_bytes().startswith(b'"name=a\rb",name=c,Dep,Late\n')
+        written = db.Schema((db.Column("name=a\rb", "continuous"), db.Column("name=c", "continuous"),
+                             db.Column("Dep", "continuous"), db.Column("Late", "label")), "1")
+        ds = db.load_csv(tmp_path / "balanced.csv", written)
+        assert ds.column("name=a\rb").tolist() == [1.0, 0.0] * 4
+        assert ds.column("Dep").tolist() == list(map(float, range(8)))
+
     def test_corr_quotes_a_name_with_a_comma(self, tmp_path):
         rows = [f"{i},{i * i % 7},{int(i % 3 == 0)}" for i in range(8)]
         (tmp_path / "data.csv").write_text('"Dep, Time",Arr,Late\n' + "\n".join(rows) + "\n")
@@ -194,6 +212,21 @@ class TestPipeline:
         assert [row[0] for row in rows[1:]] == ["Dep, Time", "Arr", "Late"]
         assert {len(row) for row in rows} == {4}
         assert float(rows[1][1]) == 1.0
+
+    def test_corr_quotes_a_name_with_a_bare_cr(self, tmp_path):
+        rows = [f"{i},{i * i % 7},{int(i % 3 == 0)}" for i in range(8)]
+        (tmp_path / "data.csv").write_bytes(('"Dep\rTime",Arr,Late\n' + "\n".join(rows) + "\n").encode())
+        schema = db.Schema((db.Column("Dep\rTime", "continuous"), db.Column("Arr", "continuous"),
+                            db.Column("Late", "label")), "1")
+        (tmp_path / "schema.json").write_text(schema.to_json())
+        assert run(
+            "corr", "--input", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
+            "--out", tmp_path / "corr.csv",
+        ) == 0
+        with open(tmp_path / "corr.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["", "Dep\rTime", "Arr", "Late"]
+        assert [row[0] for row in rows[1:]] == ["Dep\rTime", "Arr", "Late"]
 
     def test_train_records_the_timestamp(self, workspace):
         assert run(*train_args(workspace, **{"--timestamp": "2019-06-01T00:00:00"})) == 0
@@ -578,6 +611,52 @@ class TestCsvInput:
             assert run("prepare", "--input", path, "--schema", workspace / "schema.json",
                        "--out", workspace / name) == 0
         assert (workspace / "spaced-out.csv").read_bytes() == (workspace / "plain.csv").read_bytes()
+
+
+    def test_a_bad_cell_is_named_with_its_file(self, workspace):
+        lines = (workspace / "data.csv").read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("CRS_Departure_Time")] = "abc"
+        lines[2] = ",".join(cells)
+        bad = workspace / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, err = run_quietly(
+            "prepare", "--input", workspace / "data.csv", bad,
+            "--schema", workspace / "schema.json", "--out", workspace / "prepared.csv")
+        assert code == 3 and err == [
+            f"error: {bad}: line 3: non-numeric value 'abc' in continuous column "
+            "'CRS_Departure_Time'"]
+
+
+_FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -1e-310]))
+
+
+@st.composite
+def _balanced_matrices(draw):
+    """A FeatureMatrix as `balance` writes it, with random names and values."""
+    *features, label = draw(header_names(draw(st.integers(1, 5))))
+    n = draw(st.integers(0, 8))
+    values = draw(st.lists(st.lists(_FLOAT, min_size=len(features), max_size=len(features)),
+                           min_size=n, max_size=n))
+    plan = db.EncodingPlan(tuple(db.Column(f, "continuous") for f in features), {},
+                           frozenset(), label, "1")
+    return db.FeatureMatrix(np.array(values, dtype=np.float64).reshape(n, len(features)),
+                            draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                            tuple(features), plan)
+
+
+class TestBalancedFile:
+    @settings(max_examples=100, deadline=None)
+    @given(_balanced_matrices())
+    def test_loads_back_bit_for_bit(self, tmp_path_factory, fm):
+        path = tmp_path_factory.mktemp("balanced") / "balanced.csv"
+        _write_matrix(fm, path)
+        schema = db.Schema((*fm.plan.feature_columns, db.Column(fm.plan.label_name, "label")), "1")
+        ds = db.load_csv(path, schema)
+        assert [c.view(np.uint64).tolist() for c in ds.columns[:-1]] == [
+            c.view(np.uint64).tolist() for c in fm.values.T]
+        assert ds.columns[-1].tolist() == list(map(str, fm.labels.tolist()))
 
 
 def _scalar_paths(doc, path=()):

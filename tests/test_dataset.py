@@ -1,12 +1,15 @@
 import csv
+import io
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import TEXT, header_names
 from delayboost import dataset
 from delayboost.dataset import (
+    _format_cell,
     _parse_cell,
     _per_value,
     CATEGORICAL,
@@ -77,18 +80,18 @@ def reference_load_csv(path, schema, missing_label_ok=False):
             for cells, p in zip(texts.values(), positions):
                 cells.append(fields[p])
     try:
-        columns = [
-            _per_value(
+        columns = []
+        for c in schema.columns:
+            values, inverse = _per_value(
                 np.array(texts.get(c.name, [""] * n_rows), dtype=np.str_),
-                lambda text, c=c: _parse_cell(text, c.kind, c.name, line=0),
-                np.float64 if c.kind == CONTINUOUS else np.str_,
+                lambda text: _parse_cell(text, c.kind, c.name, path, 0),
             )
-            for c in schema.columns
-        ]
+            dtype = np.float64 if c.kind == CONTINUOUS else np.str_
+            columns.append(np.array(values, dtype)[inverse])
     except FieldParseError:
         for line_no, row in enumerate(zip(*texts.values()), start=2):
             for col, text in zip(present, row):
-                _parse_cell(text, col.kind, col.name, line_no)
+                _parse_cell(text, col.kind, col.name, path, line_no)
         raise
     if len(fields) != len(header):
         raise RowArityError(
@@ -135,6 +138,11 @@ class TestColumns:
             Dataset(TWO_COL, ([930.0],))
         with pytest.raises(ValueError):
             Dataset(TWO_COL, ([930.0], ["1", "0"]))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinity_in_a_continuous_column(self, value):
+        with pytest.raises(ValueError, match="infinity"):
+            Dataset(TWO_COL, ([930.0, value], ["1", "0"]))
 
 
 class TestLoadCsv:
@@ -585,24 +593,22 @@ class TestSchemaJson:
             Schema((Column("a", LABEL), Column("a", LABEL)), "1")  # dup names
 
 
-# Cells as load_csv returns them: text is stripped (NUL is rejected on load),
-# continuous cells are finite; None, "" and NaN are all a missing cell.
-_TEXT = st.text(
-    st.one_of(st.sampled_from(',"\n\r \t'), st.characters(codec="utf-8", exclude_characters="\0")),
-).map(str.strip)
+# Cells as load_csv returns them: text is stripped, continuous cells are
+# finite; None, "" and NaN are all a missing cell.
 _NUMBER = st.one_of(
     st.integers(-10**15, 10**15).map(float),
     st.floats(allow_nan=False, allow_infinity=False),
     st.floats(min_value=1e15, max_value=1e300),
     st.floats(min_value=-1e-300, max_value=1e-300, allow_subnormal=True),
 )
-_KINDS = {CATEGORICAL: _TEXT, CONTINUOUS: _NUMBER, LABEL: _TEXT}
+_KINDS = {CATEGORICAL: TEXT, CONTINUOUS: _NUMBER, LABEL: TEXT}
 
 
 @st.composite
 def _datasets(draw):
     kinds = draw(st.lists(st.sampled_from([CATEGORICAL, CONTINUOUS]), max_size=4)) + [LABEL]
-    schema = Schema(tuple(Column(f"c{i}", k) for i, k in enumerate(kinds)), "1")
+    names = draw(header_names(len(kinds)))
+    schema = Schema(tuple(Column(n, k) for n, k in zip(names, kinds)), "1")
     n = draw(st.integers(0, 12))
     columns = [draw(st.lists(st.one_of(st.none(), _KINDS[k]), min_size=n, max_size=n))
                for k in kinds]
@@ -621,3 +627,16 @@ class TestRoundTripProperty:
             gone = ds.missing(name)
             assert again.missing(name).tolist() == gone.tolist()
             assert again.column(name)[~gone].tolist() == ds.column(name)[~gone].tolist()
+
+
+class TestWriteMatchesCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(_datasets())
+    def test_same_bytes_as_a_row_by_row_csv_writer(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("write") / "data.csv"
+        write_csv(ds, path)
+        expected = io.StringIO()
+        writer = csv.writer(expected)  # quotes as write_csv does when records end in CRLF
+        writer.writerow(ds.schema.names)
+        writer.writerows(zip(*([_format_cell(v) for v in c.tolist()] for c in ds.columns)))
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
