@@ -18,9 +18,11 @@ sigmoid(f_M(x)) is the delay probability.  Scoring takes an (n, n_features)
 matrix only; a single row is a (1, n_features) matrix.  One loop adds the
 trees up: `staged_scores` yields f_0, f_1, ..., f_M in turn, updating one
 array in place, so a caller reads (or copies) each value before it asks for
-the next.  It copies its matrix column-major once, the layout every tree's
-level-wise routing reads.  `decision_function` is its last value, computed
-per cache-sized row block, and `staged_deviance` the deviance of each.
+the next.  Every tree's level-wise routing reads a column-major matrix:
+the values of a `FeatureMatrix` already are one, so `staged_deviance` and
+`tune` score them in place, and any other layout is copied once.
+`decision_function` is its last value, computed per cache-sized row block
+(each block copied column-major), and `staged_deviance` the deviance of each.
 Every label in the package comes from one rule, `label_scores`: 1 iff
 sigmoid(score) >= the threshold, which must lie in (0, 1).
 """
@@ -124,12 +126,7 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
         p = sigmoid(f)
         residual = y - p
         tree, leaf = fit_tree(X, residual, params.tree_params, order=order)
-        weight = p * (1.0 - p)
-        values = tree.value.copy()
-        for node in tree.leaf_nodes:
-            rows = leaf == node
-            denom = weight[rows].sum()
-            values[node] = residual[rows].sum() / denom if denom >= _NEWTON_GUARD else 0.0
+        values = _newton_values(tree, leaf, residual, p * (1.0 - p))
         f += params.learning_rate * values[leaf]
         trees.append(replace(tree, value=values))
         deviance.append(mean_deviance(y, f))
@@ -143,6 +140,22 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
         plan=train.plan,
     )
     return model, TrainingTrace(tuple(deviance), tuple(accuracy))
+
+
+def _newton_values(tree: RegressionTree, leaf, residual, weight) -> np.ndarray:
+    """The tree's node values with each leaf's one-step Newton value.
+
+    A leaf's value is the sum of its rows' residuals over the sum of their
+    weights p(1 - p).  Where that weight sum is below `_NEWTON_GUARD`, as
+    when the leaf's scores are saturated, the value is 0: the ratio of two
+    vanishing sums is noise.
+    """
+    values = tree.value.copy()
+    for node in tree.leaf_nodes:
+        rows = leaf == node
+        denom = weight[rows].sum()
+        values[node] = residual[rows].sum() / denom if denom >= _NEWTON_GUARD else 0.0
+    return values
 
 
 def _accuracy(y, f) -> float:
@@ -163,10 +176,10 @@ def label_scores(scores, threshold: float = 0.5) -> np.ndarray:
 def staged_scores(model: BoostedModel, x):
     """Yield the running score f_m of every row of x after m = 0, 1, ..., M trees.
 
-    The matrix is checked and copied column-major (unless it already is) once,
-    so every tree's routing reads it in place.  Every step adds one tree to
-    the same array in place and yields it again, so read or copy each value
-    before advancing.
+    The matrix is checked and copied column-major once, unless it already is
+    (as the values of every `FeatureMatrix` are), so every tree's routing
+    reads it in place.  Every step adds one tree to the same array in place
+    and yields it again, so read or copy each value before advancing.
     """
     X = np.asfortranarray(_check_matrix(x, model.n_features))
     scores = np.full(X.shape[0], model.f0)

@@ -1,9 +1,13 @@
 """Raw tabular flight data: loading, concatenation, filtering, and cleaning.
 
-A :class:`Dataset` stores one read-only NumPy array per schema column:
-``float64`` with NaN for a missing cell (continuous columns), or ``str`` with
-``""`` for a missing cell (categorical and label columns).  Only this module
-knows those sentinels; others call ``Dataset.missing(name)``.  Every
+A :class:`Dataset` stores each continuous column as a read-only ``float64``
+array with NaN for a missing cell, and each categorical and label column as
+a :class:`CodedColumn`: a dictionary of its sorted distinct texts, with
+``""`` for a missing cell, and a read-only ``int32`` code per row (the layout
+of an Arrow dictionary array or a pandas ``Categorical``).  A filter keeps the
+dictionary whole, so it may hold texts that no row uses.  Only this module
+knows those sentinels; others call ``Dataset.missing(name)``, and
+``Dataset.column(name)`` decodes a text column into a ``str`` array.  Every
 operation returns a new object and preserves the input.
 
 CSV dialect, read by ``load_csv`` and written by ``_write_records``: UTF-8 (a
@@ -108,15 +112,73 @@ class Schema:
 
 
 @dataclass(frozen=True, eq=False)
+class CodedColumn:
+    """A text column: its sorted distinct `texts`, and each row's `codes` into them.
+
+    `codes` is int32 and read-only.  Sorted texts make a code's order the
+    order of its text, as `EncodingPlan` sorts categories.  ValueError
+    unless the texts are sorted and distinct and every code indexes one.
+    """
+
+    texts: tuple[str, ...]
+    codes: np.ndarray
+
+    def __post_init__(self):
+        texts = tuple(self.texts)
+        codes = np.asarray(self.codes, dtype=np.int32)
+        if codes.ndim != 1:
+            raise ValueError("each column must be one-dimensional")
+        if any(a >= b for a, b in zip(texts, texts[1:])):
+            raise ValueError("a coded column's texts must be sorted and distinct")
+        if codes.size and not 0 <= codes.min() <= codes.max() < len(texts):
+            raise ValueError("a coded column's code is out of range")
+        codes.flags.writeable = False
+        object.__setattr__(self, "texts", texts)
+        object.__setattr__(self, "codes", codes)
+
+    @property
+    def size(self) -> int:
+        return self.codes.size
+
+    def __getitem__(self, rows) -> "CodedColumn":
+        """The column at `rows` (an index array or a mask), with the same dictionary."""
+        return CodedColumn(self.texts, self.codes[rows])
+
+    def decode(self) -> np.ndarray:
+        return np.array(self.texts, dtype=np.str_)[self.codes]
+
+    def missing(self) -> np.ndarray:
+        # "" sorts first, so it is missing text exactly when it is text 0
+        return self.codes == 0 if self.texts[:1] == ("",) else np.zeros(self.size, bool)
+
+    def codes_in(self, texts) -> np.ndarray:
+        """Each row's position in `texts`, or -1 where its text is not there."""
+        return _positions(self.texts, texts)[self.codes]
+
+
+def _positions(texts, dictionary) -> np.ndarray:
+    """The int32 position of each of `texts` in `dictionary`, or -1 where it is not there."""
+    position = {t: i for i, t in enumerate(dictionary)}
+    return np.array([position.get(t, -1) for t in texts], dtype=np.int32)
+
+
+def _coded(texts, index) -> CodedColumn:
+    """The column whose row i holds texts[index[i]]; `texts` may repeat and be unsorted."""
+    dictionary = tuple(sorted(set(texts)))
+    return CodedColumn(dictionary, _positions(texts, dictionary)[index])
+
+
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Columns in schema order: any 1-D sequences, with None for a missing cell.
 
-    An infinity in a continuous column is a ValueError, as no CSV cell holds one.
+    A categorical or label column may also be given as a `CodedColumn`.  An
+    infinity in a continuous column is a ValueError, as no CSV cell holds one.
     Compared by identity, since a comparison of arrays has no single truth value.
     """
 
     schema: Schema
-    columns: tuple[np.ndarray, ...]
+    columns: tuple
 
     def __post_init__(self):
         kinds = [c.kind for c in self.schema.columns]
@@ -130,29 +192,47 @@ class Dataset:
         return self.columns[0].size
 
     def column(self, name: str) -> np.ndarray:
-        return self.columns[self.schema.index_of(name)]
+        """The cells of column `name`: float64, or str for a categorical or label column."""
+        col = self.columns[self.schema.index_of(name)]
+        return col.decode() if isinstance(col, CodedColumn) else col
+
+    def coded(self, name: str) -> CodedColumn:
+        """The dictionary and codes of a categorical or label column."""
+        col = self.columns[self.schema.index_of(name)]
+        if not isinstance(col, CodedColumn):
+            raise ValueError(f"column {name!r} is continuous, not coded")
+        return col
 
     def missing(self, name: str) -> np.ndarray:
         """Boolean mask of the rows whose cell in column `name` is missing."""
-        col = self.column(name)
-        return np.isnan(col) if col.dtype.kind == "f" else col == ""
+        col = self.columns[self.schema.index_of(name)]
+        return col.missing() if isinstance(col, CodedColumn) else np.isnan(col)
 
 
-def _as_column(values, kind: str) -> np.ndarray:
+def _as_column(values, kind: str):
+    if isinstance(values, CodedColumn) and kind != CONTINUOUS:
+        return values
     col = np.asarray(values)
     if col.ndim != 1:
         raise ValueError("each column must be one-dimensional")
     if col.dtype == object:
         col = np.where(np.equal(col, None), np.nan if kind == CONTINUOUS else "", col)
-    col = col.astype(np.float64 if kind == CONTINUOUS else np.str_)
-    if kind == CONTINUOUS and np.isinf(col).any():
+    if kind != CONTINUOUS:
+        texts, codes = np.unique(col.astype(np.str_), return_inverse=True)
+        return CodedColumn(tuple(texts.tolist()), codes)
+    col = col.astype(np.float64)
+    if np.isinf(col).any():
         raise ValueError("a continuous column holds an infinity")
     col.flags.writeable = False
     return col
 
 
-def _per_value(col: np.ndarray, fn) -> tuple[list, np.ndarray]:
-    """`fn` of each distinct value of `col` (floats by bit pattern) and each row's index."""
+def _per_value(col, fn) -> tuple[list, np.ndarray]:
+    """`fn` of each distinct value of `col` (floats by bit pattern) and each row's index.
+
+    A `CodedColumn` gives `fn` of each text of its dictionary and its codes."""
+    if isinstance(col, CodedColumn):
+        return [fn(t) for t in col.texts], col.codes
     key = col.view(np.uint64) if col.dtype == np.float64 else col
     distinct, inverse = np.unique(key, return_inverse=True)
     return [fn(v) for v in distinct.view(col.dtype).tolist()], inverse
@@ -189,23 +269,25 @@ def label_classes(ds: Dataset, positive_value: str) -> np.ndarray:
 
     Labels equal to `positive_value` under label_values_equal are positive.
     The first other label in row order is the negative value; a label
-    matching neither raises UnrecognizedLabelValueError.
+    matching neither raises UnrecognizedLabelValueError.  Each text of the
+    label dictionary is resolved once, and only texts that some row holds count.
     """
-    present = ~ds.missing(ds.schema.label_name)
-    labels = ds.column(ds.schema.label_name)[present]
-    distinct, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
-    texts = [t.strip() for t in distinct.tolist()]
-    positive = np.array([label_values_equal(t, positive_value) for t in texts], dtype=np.int64)
-    others = np.flatnonzero(positive == 0)
-    others = others[np.argsort(first[others])]
+    col = ds.coded(ds.schema.label_name)
+    texts = [t.strip() for t in col.texts]
+    classes = np.array([label_values_equal(t, positive_value) for t in texts], dtype=np.int64)
+    if col.texts[:1] == ("",):
+        classes[0] = -1
+    used = np.bincount(col.codes, minlength=len(texts)) > 0
+    others = np.flatnonzero(used & (classes == 0))
+    if others.size > 1:  # order them by first row
+        codes, first = np.unique(col.codes, return_index=True)
+        others = others[np.argsort(first[np.searchsorted(codes, others)])]
     for j in others[1:]:
         if not label_values_equal(texts[j], texts[others[0]]):
             raise UnrecognizedLabelValueError(
                 f"label {texts[j]!r} matches neither {positive_value!r} nor {texts[others[0]]!r}"
             )
-    classes = np.full(ds.n_rows, -1)
-    classes[present] = positive[inverse]
-    return classes
+    return classes[col.codes]
 
 
 def _parse_cell(text: str, kind: str, column: str, path, line: int):
@@ -291,11 +373,13 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
         distinct, inverse = _distinct_cells(padded, cell_starts[:, p], cell_lengths[:, p])
         texts = [_unquote(raw) for raw in distinct]
         values = [_parse_or_none(text, col) for text in texts]
-        bad = np.flatnonzero(np.array([v is None for v in values], dtype=bool)[inverse])
-        if bad.size:  # this column's first bad cell in row order
+        if None in values:  # this column's first bad cell in row order
+            bad = np.flatnonzero(np.array([v is None for v in values], dtype=bool)[inverse])
             bad_cells.append((bad[0], order, texts[inverse[bad[0]]], col))
-        dtype = np.float64 if col.kind == CONTINUOUS else np.str_
-        columns[col.name] = np.array(values, dtype=dtype)[inverse]
+        if col.kind == CONTINUOUS:
+            columns[col.name] = np.array(values, dtype=np.float64)[inverse]
+        else:
+            columns[col.name] = _coded(values, inverse)
     if bad_cells:
         row, _, text, col = min(bad_cells)
         _parse_cell(text, col.kind, col.name, path, _line_number(buf, cell_starts[row, 0]))
@@ -306,7 +390,8 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
             f"{path}: line {line} has {count[record]} fields, header has {len(header)}"
         )
     return Dataset(schema, [
-        columns.get(c.name, np.full(n_rows, "", dtype=np.str_)) for c in schema.columns
+        columns.get(c.name, CodedColumn(("",), np.zeros(n_rows, np.int32)))
+        for c in schema.columns
     ])
 
 
@@ -384,22 +469,22 @@ def _check_quotes(buf, is_quote, inside, separator, path) -> None:
 def _distinct_cells(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     """The distinct byte strings padded[start:start + length], and each cell's index into them.
 
-    Cells are compared as fixed-width keys: one big-endian uint64 each when
+    Cells are compared as fixed-width keys: one little-endian uint64 each when
     the longest cell fits in 8 bytes, else bytes ("S") as wide as the longest.
     """
     width = int(lengths.max(initial=0))
     if width <= 8:
-        words = np.ndarray(padded.size - 7, ">u8", padded, strides=(1,))
+        words = np.ndarray(padded.size - 7, "<u8", padded, strides=(1,))
         keys, inverse = np.unique(words[starts] & _FIRST_BYTES[lengths], return_inverse=True)
-        return keys.astype(">u8").view("S8").tolist(), inverse
+        return keys.astype("<u8").view("S8").tolist(), inverse
     cells = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
     cells[np.arange(width) >= lengths[:, None]] = 0
     keys, inverse = np.unique(cells.view(f"S{width}").ravel(), return_inverse=True)
     return keys.tolist(), inverse
 
 
-# _FIRST_BYTES[k] keeps the first k bytes of a big-endian 8-byte word
-_FIRST_BYTES = ~(np.uint64(2**64 - 1) >> np.arange(0, 72, 8, dtype=np.uint64))
+# _FIRST_BYTES[k] keeps the first k bytes of a little-endian 8-byte word
+_FIRST_BYTES = np.array([2 ** (8 * k) - 1 for k in range(9)], dtype=np.uint64)
 
 
 def _unquote(raw: bytes) -> str:
@@ -458,7 +543,15 @@ def concat(parts: list[Dataset]) -> Dataset:
         raise EmptyInputError("concat requires at least one dataset")
     if any(p.schema != parts[0].schema for p in parts):
         raise SchemaMismatchError("datasets have differing schemas")
-    return Dataset(parts[0].schema, [np.concatenate(c) for c in zip(*(p.columns for p in parts))])
+    return Dataset(parts[0].schema, [_concat(c) for c in zip(*(p.columns for p in parts))])
+
+
+def _concat(pieces):
+    """One column of each part, stacked; text columns get the union of their dictionaries."""
+    if not isinstance(pieces[0], CodedColumn):
+        return np.concatenate(pieces)
+    texts = tuple(sorted(set().union(*(p.texts for p in pieces))))
+    return CodedColumn(texts, np.concatenate([p.codes_in(texts) for p in pieces]))
 
 
 def filter_equals(ds: Dataset, column: str, allowed) -> Dataset:
@@ -467,7 +560,7 @@ def filter_equals(ds: Dataset, column: str, allowed) -> Dataset:
     Matching is on exact text after trimming whitespace; missing cells never
     match.  Order and schema are preserved.
     """
-    col = ds.column(column)
+    col = ds.columns[ds.schema.index_of(column)]
     allowed = {str(v).strip() for v in allowed}
     matches, inverse = _per_value(col, lambda cell: _format_cell(cell).strip() in allowed)
     keep = np.array(matches, dtype=bool)[inverse] & ~ds.missing(column)
@@ -559,7 +652,7 @@ def generate_synthetic(n_rows: int, positive_fraction: float, seed: int) -> Data
     rng = np.random.Generator(np.random.PCG64(seed))
 
     columns = [
-        np.array(values)[rng.integers(0, len(values), size=n_rows)]
+        _coded(values, rng.integers(0, len(values), size=n_rows))
         for _, values in _SYNTHETIC_CATEGORIES
     ]
     hours = [rng.uniform(0.0, 24.0, size=n_rows) for _ in _SYNTHETIC_TIMES]
@@ -574,7 +667,7 @@ def generate_synthetic(n_rows: int, positive_fraction: float, seed: int) -> Data
     )
     n_pos = int(round(positive_fraction * n_rows))
     order = np.argsort(risk, kind="stable")
-    labels = np.full(n_rows, SYNTHETIC_NEGATIVE_VALUE)
-    labels[order[n_rows - n_pos:]] = SYNTHETIC_POSITIVE_VALUE
-    columns.append(labels)
+    positive = np.zeros(n_rows, dtype=np.intp)
+    positive[order[n_rows - n_pos:]] = 1
+    columns.append(_coded((SYNTHETIC_NEGATIVE_VALUE, SYNTHETIC_POSITIVE_VALUE), positive))
     return Dataset(synthetic_schema(), columns)

@@ -3,7 +3,16 @@
 Categorical columns get alphabetical integer codes (sorted distinct raw
 values, code = position).  Columns named in the one-hot set expand to one
 binary column per category instead.  Continuous columns pass through and the
-label maps to {0, 1}.
+label maps to {0, 1}.  Encoding works on each column's dictionary
+(`dataset.CodedColumn`): the plan's categories are matched to its texts
+once, and every output column is written straight into the matrix.
+
+A :class:`FeatureMatrix` is column-major (Fortran order) by invariant, the
+column blocks of XGBoost (Chen & Guestrin 2016, section 4.1): split search,
+`presort`, routing, SMOTE and the CSV writer all read one column at a time,
+and each column is one contiguous run of memory.  Every function here that
+makes a matrix allocates it in that order, and the constructor copies a
+matrix in any other layout once.
 
 Shuffling uses NumPy's PCG64 generator seeded with the caller's seed; the
 permutation is drawn with ``Generator.permutation`` (Fisher-Yates).  Stating
@@ -94,7 +103,11 @@ class EncodingPlan:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Fully numeric n x d matrix with a binary label vector."""
+    """Fully numeric n x d matrix with a binary label vector.
+
+    `values` is always F-contiguous (column-major) and read-only; values in
+    another layout are copied into that one here.
+    """
 
     values: np.ndarray
     labels: np.ndarray
@@ -103,7 +116,8 @@ class FeatureMatrix:
     unseen_categories: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+        # the layout invariant: every reader of `values` may take its columns as contiguous
+        object.__setattr__(self, "values", np.asfortranarray(self.values, dtype=np.float64))
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         self.values.flags.writeable = False
         self.labels.flags.writeable = False
@@ -119,10 +133,14 @@ class FeatureMatrix:
     def take(self, indices) -> "FeatureMatrix":
         """A copy of the rows at `indices`, an integer array or a boolean mask.
 
-        Indexing with an array already copies, so the rows are copied once.
+        Gathered one column at a time into a column-major matrix, since
+        `values[indices]` would come back row-major.
         """
-        idx = np.asarray(indices)
-        return replace(self, values=self.values[idx], labels=self.labels[idx])
+        idx = np.arange(self.n_rows)[indices]  # row ids, from a mask or negative ids alike
+        values = np.empty((idx.size, self.n_features), order="F")
+        for j, column in enumerate(self.values.T):
+            values[:, j] = column.take(idx)
+        return replace(self, values=values, labels=self.labels.take(idx))
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.column_names.index(name)]
@@ -156,7 +174,9 @@ def fit_encoding(ds: Dataset, one_hot=DEFAULT_ONE_HOT) -> EncodingPlan:
     for col in feature_cols:
         if col.kind == CATEGORICAL:
             _require_present(ds, col.name)
-            categories[col.name] = tuple(np.unique(ds.column(col.name)).tolist())
+            cells = ds.coded(col.name)
+            used = np.bincount(cells.codes, minlength=len(cells.texts)) > 0
+            categories[col.name] = tuple(t for t, u in zip(cells.texts, used.tolist()) if u)
 
     return EncodingPlan(
         feature_columns=feature_cols,
@@ -177,30 +197,33 @@ def apply_encoding(ds: Dataset, plan: EncodingPlan, training: bool = True) -> Fe
     0.  In both modes a third label value raises UnrecognizedLabelValueError
     (see `dataset.label_classes`).
     """
-    blocks = [np.empty((ds.n_rows, 0))]  # keeps the join defined for a label-only plan
-    unseen = 0
+    n = ds.n_rows
+    values = np.empty((n, len(plan.output_names)), order="F")
+    j, unseen = 0, 0  # j: the next output column
     for col in plan.feature_columns:
         _require_present(ds, col.name)
-        cells = ds.column(col.name)
         if col.kind == CONTINUOUS:
-            blocks.append(cells[:, None])
+            values[:, j] = ds.column(col.name)
+            j += 1
             continue
-        cats = np.array(plan.categories[col.name], dtype=np.str_)
-        codes = np.searchsorted(cats, cells)
-        found = codes < cats.size
-        found[found] = cats[codes[found]] == cells[found]
+        cells = ds.coded(col.name)
+        cats = plan.categories[col.name]
+        codes = cells.codes_in(cats)
+        found = codes >= 0
         if not found.all():
             if training:
                 raise UnseenCategoryError(
-                    f"value {str(cells[np.argmin(found)])!r} in column {col.name!r} not in plan"
+                    f"value {cells.texts[cells.codes[np.argmin(found)]]!r} in column "
+                    f"{col.name!r} not in plan"
                 )
-            unseen += int(np.count_nonzero(~found))
-        codes[~found] = -1
+            unseen += n - int(np.count_nonzero(found))
         if col.name in plan.one_hot:
-            blocks.append(codes[:, None] == np.arange(cats.size))
+            for code in range(len(cats)):
+                np.equal(codes, code, out=values[:, j + code])
+            j += len(cats)
         else:
-            blocks.append(codes[:, None])
-    values = np.concatenate(blocks, axis=1, dtype=np.float64)
+            values[:, j] = codes
+            j += 1
 
     classes = label_classes(ds, plan.positive_label_value)
     missing = classes < 0

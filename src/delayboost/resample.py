@@ -26,11 +26,11 @@ position (a = c if c < position else c + 1).  This fixed sequential order
 makes the output a pure function of (matrix, config).
 
 The per-row Python loop only makes these draws and records them (they are
-the `SmoteTrace`).  The two interpolations then run over blocks of a few
-thousand synthetic rows, written straight into the preallocated output
-matrix: the same element-wise expressions on the same operands, so every
-bit matches a row-at-a-time loop, and no full-size temporary of the
-synthetic rows is held.
+the `SmoteTrace`).  The two interpolations then run one column at a time,
+each written straight into its column of the preallocated column-major
+output: the same element-wise expressions on the same operands, so every
+bit matches a row-at-a-time loop, and no temporary is larger than one
+column of the synthetic rows.
 """
 
 from __future__ import annotations
@@ -41,10 +41,6 @@ import numpy as np
 
 from .encode import FeatureMatrix
 from .errors import InvalidPercentError, MinorityTooSmallError
-
-# Synthetic rows interpolated per block: small enough that a block's
-# temporaries stay in cache, large enough that the Python loop is cheap.
-_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -130,15 +126,12 @@ def random_smote_with_trace(fm: FeatureMatrix, cfg: SmoteConfig):
     )
 
     n = fm.n_rows
-    values = np.empty((n + m * k, fm.n_features))
+    values = np.empty((n + m * k, fm.n_features), order="F")
     values[:n] = fm.values
-    for lo in range(0, m * k, _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        x_i = fm.values[trace.seed_row[block]]
-        x_a = fm.values[trace.first[block]]
-        x_b = fm.values[trace.second[block]]
-        y = x_a + trace.t[block, None] * (x_b - x_a)
-        values[n:][block] = x_i + trace.u[block, None] * (y - x_i)
+    for j, x in enumerate(fm.values.T):
+        x_i, x_a, x_b = x.take(trace.seed_row), x.take(trace.first), x.take(trace.second)
+        y = x_a + trace.t * (x_b - x_a)
+        values[n:, j] = x_i + trace.u * (y - x_i)
     labels = np.concatenate([fm.labels, np.full(m * k, minority_label, dtype=np.int64)])
     return replace(fm, values=values, labels=labels), trace
 

@@ -20,12 +20,18 @@ numbered in preorder; leaves have feature -1.
 `fit_tree` also returns the partition it grew: each training row's leaf id,
 so `fit_gbc` takes its Newton steps over the rows the fit already placed.
 
-`apply` routes rows one level at a time over a column-major matrix (any other
-layout is copied once per call), with tables each tree builds on first use:
-leaves loop to themselves (feature 0, threshold +inf, both children the
-leaf), and `kids[2 * node + goes_left]` is the next node.  A pass gathers
-every row's value at its node's feature, compares it with the node's
-threshold and gathers the child.  The tables are never serialized.
+`fit_tree` reads X one column at a time (`presort`, and each feature's
+gather in `_best_splits`), so a column-major X, as every `FeatureMatrix`
+holds, gives those reads contiguous memory.
+
+`apply` routes rows one level at a time over a column-major matrix, with
+tables each tree builds on first use.  A `FeatureMatrix`'s values are
+column-major already, so its rows are routed in place; any other layout is
+copied once per call.  In the tables, leaves loop to themselves (feature
+0, threshold +inf, both children the leaf), and `kids[2 * node + goes_left]`
+is the next node.  A pass gathers every row's value at its node's feature,
+compares it with the node's threshold and gathers the child.  The tables
+are never serialized.
 """
 
 from __future__ import annotations
@@ -120,7 +126,8 @@ class RegressionTree:
 
         One pass per level, each gathering every row's value at its node's
         feature from X's column-major buffer, so the gathers read contiguous
-        columns.  An X in any other layout is copied column-major once.
+        columns.  An X in any other layout is copied column-major once; the
+        values of a `FeatureMatrix` are never copied.
         """
         X = np.asfortranarray(_check_matrix(X, self.n_features))
         feature, threshold, kids, depth = self._routing
@@ -185,7 +192,8 @@ class RegressionTree:
 def presort(X: np.ndarray) -> np.ndarray:
     """Row ids of each column of X in stable ascending order, as a (d, n) int32 array.
 
-    Sorted one column at a time, so no (n, d) int64 temporary is held.
+    Sorted one column at a time, so no (n, d) int64 temporary is held; the
+    columns of a column-major X are contiguous.
 
     Raises:
         DimensionMismatchError: X is not a 2-D matrix.

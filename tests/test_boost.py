@@ -29,7 +29,7 @@ from delayboost.errors import (
     SingleClassTrainingError,
 )
 from delayboost.model_io import load_model, save_model
-from delayboost.tree import TreeParams
+from delayboost.tree import TreeParams, fit_tree
 
 
 def quick_params(estimators=10, lr=0.1, depth=2):
@@ -259,8 +259,9 @@ class TestGradient:
 
 class TestDegenerateLeaf:
     def test_saturated_leaves_stop_growing(self):
-        # two separable rows saturate p toward 0/1; the Newton denominator
-        # collapses and the gamma guard must keep scores finite
+        # two separable rows push p toward 0/1 until the no-gain rule stops
+        # the splits; each leaf's sum p(1 - p) stays above 1e-6, so this never
+        # reaches the Newton guard (TestNewtonGuard does)
         fm = make_matrix([[0.0], [1.0]], [0, 1])
         params = BoostParams(
             estimators=60, learning_rate=1.0, tree_params=TreeParams(max_depth=1)
@@ -270,6 +271,18 @@ class TestDegenerateLeaf:
         assert np.all(np.isfinite(scores))
         dev = np.array(trace.deviance)
         assert np.all(np.diff(dev) <= 1e-9)
+
+
+class TestNewtonGuard:
+    def test_saturated_leaf_gets_zero(self):
+        tree, leaf = fit_tree(np.array([[0.0], [1.0]]), [0.0, 1.0], TreeParams(max_depth=1))
+        y = np.array([0, 1])
+        p = sigmoid(np.array([0.0, 30.0]))  # the second row's leaf is saturated
+        residual, weight = y - p, p * (1.0 - p)
+        assert 0.0 < weight[1] < boost._NEWTON_GUARD
+        assert residual[1] / weight[1] > 0.5  # what the step would be without the guard
+        values = boost._newton_values(tree, leaf, residual, weight)
+        assert values[leaf].tolist() == [-2.0, 0.0]
 
 
 class TestNewtonStep:

@@ -654,9 +654,9 @@ class TestBalancedFile:
         _write_matrix(fm, path)
         schema = db.Schema((*fm.plan.feature_columns, db.Column(fm.plan.label_name, "label")), "1")
         ds = db.load_csv(path, schema)
-        assert [c.view(np.uint64).tolist() for c in ds.columns[:-1]] == [
+        assert [ds.column(c.name).view(np.uint64).tolist() for c in fm.plan.feature_columns] == [
             c.view(np.uint64).tolist() for c in fm.values.T]
-        assert ds.columns[-1].tolist() == list(map(str, fm.labels.tolist()))
+        assert ds.column(fm.plan.label_name).tolist() == list(map(str, fm.labels.tolist()))
 
 
 def _scalar_paths(doc, path=()):

@@ -114,6 +114,16 @@ def label_only(labels) -> Dataset:
     return Dataset(schema, (list(labels),))
 
 
+def assert_coded(ds):
+    """Each text column is a sorted, distinct dictionary with int32 codes in range."""
+    for c in ds.schema.columns:
+        if c.kind != CONTINUOUS:
+            col = ds.coded(c.name)
+            assert list(col.texts) == sorted(set(col.texts))
+            assert col.codes.dtype == np.int32 and col.codes.size == ds.n_rows
+            assert np.all((col.codes >= 0) & (col.codes < len(col.texts)))
+
+
 def rows(ds) -> list[tuple]:
     """The cells of `ds` row by row, with None for a missing cell."""
     columns = [
@@ -358,7 +368,8 @@ def _outcome(load, path, schema, missing_label_ok):
         ds = load(path, schema, missing_label_ok)
     except DataError as exc:
         return type(exc), str(exc)
-    return [(c.dtype.str, c.tobytes()) for c in ds.columns]
+    assert_coded(ds)
+    return [(c.dtype.str, c.tobytes()) for c in map(ds.column, schema.names)]
 
 
 class TestLoadMatchesRowReader:
@@ -604,15 +615,96 @@ _NUMBER = st.one_of(
 _KINDS = {CATEGORICAL: TEXT, CONTINUOUS: _NUMBER, LABEL: TEXT}
 
 
+def _cells(draw, schema):
+    """Columns for `schema`: each a list of cells, with None for a missing one."""
+    n = draw(st.integers(0, 12))
+    return [draw(st.lists(st.one_of(st.none(), _KINDS[c.kind]), min_size=n, max_size=n))
+            for c in schema.columns]
+
+
 @st.composite
-def _datasets(draw):
+def _dataset_cells(draw):
+    """(schema, columns), the columns as `_cells` draws them."""
     kinds = draw(st.lists(st.sampled_from([CATEGORICAL, CONTINUOUS]), max_size=4)) + [LABEL]
     names = draw(header_names(len(kinds)))
     schema = Schema(tuple(Column(n, k) for n, k in zip(names, kinds)), "1")
-    n = draw(st.integers(0, 12))
-    columns = [draw(st.lists(st.one_of(st.none(), _KINDS[k]), min_size=n, max_size=n))
-               for k in kinds]
-    return Dataset(schema, columns)
+    return schema, _cells(draw, schema)
+
+
+def _datasets():
+    return _dataset_cells().map(lambda drawn: Dataset(*drawn))
+
+
+def reference_text_column(cells) -> np.ndarray:
+    """A text column as `Dataset` stored it before dictionaries: a str array, "" for None."""
+    col = np.asarray(cells)
+    if col.dtype == object:
+        col = np.where(np.equal(col, None), "", col)
+    return col.astype(np.str_)
+
+
+class TestCodedColumns:
+    @settings(max_examples=100, deadline=None)
+    @given(_dataset_cells(), st.booleans())
+    def test_decoded_columns_equal_str_arrays(self, drawn, as_array):
+        schema, columns = drawn
+        if as_array:  # a str array is coded as a list is
+            columns = [reference_text_column(c) if k.kind != CONTINUOUS else c
+                       for c, k in zip(columns, schema.columns)]
+        ds = Dataset(schema, columns)
+        assert_coded(ds)
+        for cells, col in zip(columns, schema.columns):
+            if col.kind == CONTINUOUS:
+                continue
+            got, want = ds.column(col.name), reference_text_column(cells)
+            assert got.dtype.kind == "U" and got.tolist() == want.tolist()
+            if ds.n_rows:  # an empty list used to make a <U32 column, now <U1
+                assert (got.dtype.str, got.tobytes()) == (want.dtype.str, want.tobytes())
+            assert ds.missing(col.name).tolist() == (want == "").tolist()
+
+    @settings(max_examples=60, deadline=None)
+    @given(_dataset_cells(), st.data())
+    def test_concat_filter_and_drop_keep_the_invariants(self, drawn, data):
+        schema, columns = drawn
+        more = [_cells(data.draw, schema) for _ in range(data.draw(st.integers(0, 2)))]
+        datasets = [Dataset(schema, c) for c in [columns, *more]]
+        ds = concat(datasets)
+        assert_coded(ds)
+        assert rows(ds) == [r for part in datasets for r in rows(part)]
+        name = data.draw(st.sampled_from(schema.names))
+        allowed = data.draw(st.sets(TEXT, max_size=3))
+        for out in (filter_equals(ds, name, allowed), drop_missing_labels(ds)):
+            assert_coded(out)
+            # a row filter keeps every dictionary whole
+            for c in schema.columns:
+                if c.kind != CONTINUOUS:
+                    assert out.coded(c.name).texts == ds.coded(c.name).texts
+
+    def test_generate_synthetic(self):
+        ds = generate_synthetic(300, 0.2, seed=4)
+        assert_coded(ds)
+        assert ds.coded("Month").texts == tuple(sorted(str(m) for m in range(1, 13)))
+        assert ds.coded("Arr_Del_15").texts == ("0.00", "1.00")
+        assert class_balance(ds).positives == 60
+
+    def test_load_csv_strips_then_codes(self, tmp_path):
+        schema = Schema((Column("name", CATEGORICAL), Column("y", LABEL)), "1")
+        ds = load_csv(write(tmp_path, 'name,y\n b,1\n"b ",0\na,\n'), schema)
+        assert ds.coded("name").texts == ("a", "b")
+        assert ds.coded("name").codes.tolist() == [1, 1, 0]
+        assert ds.coded("y").texts == ("", "0", "1")
+        assert ds.missing("y").tolist() == [False, False, True]
+
+    @pytest.mark.parametrize("texts, codes", [
+        (("b", "a"), [0, 1]), (("a", "a"), [0, 1]), (("a", "b"), [0, 2]), (("a",), [-1]),
+    ], ids=["unsorted", "repeated", "code-past-the-end", "negative-code"])
+    def test_malformed_coded_column(self, texts, codes):
+        with pytest.raises(ValueError, match="coded column"):
+            Dataset(TWO_COL, ([1.0, 2.0][:len(codes)], dataset.CodedColumn(texts, codes)))
+
+    def test_continuous_column_is_not_coded(self):
+        with pytest.raises(ValueError, match="continuous"):
+            Dataset(TWO_COL, ([930.0], ["1"])).coded("CRS_Dep")
 
 
 class TestRoundTripProperty:
@@ -638,5 +730,6 @@ class TestWriteMatchesCsvWriter:
         expected = io.StringIO()
         writer = csv.writer(expected)  # quotes as write_csv does when records end in CRLF
         writer.writerow(ds.schema.names)
-        writer.writerows(zip(*([_format_cell(v) for v in c.tolist()] for c in ds.columns)))
+        writer.writerows(zip(*([_format_cell(v) for v in ds.column(n).tolist()]
+                               for n in ds.schema.names)))
         assert path.read_bytes() == expected.getvalue().encode("utf-8")

@@ -5,10 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypothesis.extra.numpy import arrays
+
 from conftest import make_matrix
-from delayboost.dataset import CATEGORICAL, CONTINUOUS, LABEL, Column, Dataset, Schema
+from delayboost.dataset import (
+    CATEGORICAL,
+    CONTINUOUS,
+    LABEL,
+    Column,
+    Dataset,
+    Schema,
+    filter_equals,
+    label_classes,
+)
 from delayboost.encode import (
     EncodingPlan,
+    _require_present,
     apply_encoding,
     fit_encoding,
     pearson_matrix,
@@ -203,6 +215,142 @@ class TestReferenceProperty:
         assert fm.values.tolist() == values
         assert fm.labels.tolist() == labels
         assert fm.unseen_categories == unseen
+
+
+def reference_apply_encoding(ds, plan, training=True):
+    """`apply_encoding` over str columns: searchsorted codes, concatenated blocks.
+
+    The encoder from before `Dataset` columns were dictionaries, kept as the
+    oracle the coded encoder must match bit for bit.  Returns (values,
+    labels, unseen_categories).
+    """
+    blocks = [np.empty((ds.n_rows, 0))]
+    unseen = 0
+    for col in plan.feature_columns:
+        _require_present(ds, col.name)
+        cells = ds.column(col.name)
+        if col.kind == CONTINUOUS:
+            blocks.append(cells[:, None])
+            continue
+        cats = np.array(plan.categories[col.name], dtype=np.str_)
+        codes = np.searchsorted(cats, cells)
+        found = codes < cats.size
+        found[found] = cats[codes[found]] == cells[found]
+        if not found.all():
+            if training:
+                raise UnseenCategoryError(
+                    f"value {str(cells[np.argmin(found)])!r} in column {col.name!r} not in plan"
+                )
+            unseen += int(np.count_nonzero(~found))
+        codes[~found] = -1
+        if col.name in plan.one_hot:
+            blocks.append(codes[:, None] == np.arange(cats.size))
+        else:
+            blocks.append(codes[:, None])
+    values = np.concatenate(blocks, axis=1, dtype=np.float64)
+    classes = label_classes(ds, plan.positive_label_value)
+    missing = classes < 0
+    if training and missing.any():
+        raise MissingCellError(
+            f"row {np.argmax(missing)}: missing label (drop missing labels first)"
+        )
+    return values, classes == 1, unseen
+
+
+_WORDS = ["a", "b", "B", "10", "2", "a b", " a", "\u00e9", "\u65e5", "zz"]
+_LABEL_TEXTS = ["0", "0.00", "1", "1.00"]
+
+
+@st.composite
+def _encoding_inputs(draw):
+    """(fit rows, rows, one-hot names, training): datasets on SCHEMA, some cells
+    missing or unseen, the fit rows sometimes filtered so that their
+    dictionaries hold texts no row uses."""
+    def dataset():
+        word = st.sampled_from(_WORDS + [""] * draw(st.booleans()))
+        label = st.sampled_from(_LABEL_TEXTS + ["", "2"] * draw(st.booleans()))
+        rows = draw(st.lists(st.tuples(word, word, st.floats(-1e6, 1e6), label), max_size=10))
+        return Dataset(SCHEMA, tuple(zip(*rows)) if rows else ((),) * 4)
+
+    fit_ds, ds = dataset(), dataset()
+    if draw(st.booleans()):
+        fit_ds = filter_equals(fit_ds, "airport", draw(st.sets(st.sampled_from(_WORDS))))
+    one_hot = draw(st.sets(st.sampled_from(["airport", "carrier"])))
+    return fit_ds, ds, tuple(sorted(one_hot)), draw(st.booleans())
+
+
+def _encoded(encode, ds, plan, training):
+    """(values bytes, shape, labels, unseen) of an encoding, or its error."""
+    try:
+        values, labels, unseen = encode(ds, plan, training)
+    except DataError as exc:
+        return type(exc), str(exc)
+    return values.tobytes(), values.shape, labels.tolist(), unseen
+
+
+def _coded_encoding(ds, plan, training):
+    fm = apply_encoding(ds, plan, training=training)
+    assert fm.values.flags.f_contiguous
+    return fm.values, fm.labels, fm.unseen_categories
+
+
+class TestCodedEncodingProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_encoding_inputs())
+    def test_equals_the_str_array_encoder(self, inputs):
+        fit_ds, ds, one_hot, training = inputs
+        try:
+            plan = fit_encoding(fit_ds, one_hot=one_hot)
+        except MissingCellError:
+            assert fit_ds.missing("airport").any() or fit_ds.missing("carrier").any()
+            return
+        for name in ("airport", "carrier"):
+            assert plan.categories[name] == tuple(np.unique(fit_ds.column(name)).tolist())
+        assert _encoded(_coded_encoding, ds, plan, training) == _encoded(
+            reference_apply_encoding, ds, plan, training)
+
+
+@st.composite
+def _matrices_and_rows(draw):
+    """A C-ordered matrix, its labels, and row indices: ids (negative ones too) or a mask."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(0, 4))
+    X = draw(arrays(np.float64, (n, d), elements=st.floats(allow_nan=False)))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    if draw(st.booleans()):
+        rows = draw(arrays(np.bool_, n))
+    else:
+        rows = np.array(draw(st.lists(st.integers(-n, n - 1), max_size=2 * n)), dtype=np.intp)
+    return X, y, rows
+
+
+class TestColumnMajorProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(_matrices_and_rows())
+    def test_take_gathers_the_rows_column_major(self, inputs):
+        X, y, rows = inputs
+        fm = make_matrix(X, y)
+        assert fm.values.flags.f_contiguous and not fm.values.flags.writeable
+        out = fm.take(rows)
+        assert out.values.flags.f_contiguous
+        assert out.values.shape == X[rows].shape
+        assert out.values.tobytes() == X[rows].tobytes()
+        assert out.labels.tobytes() == y[rows].tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(_matrices_and_rows(), st.floats(0.05, 0.95), st.integers(0, 2**32 - 1))
+    def test_shuffle_split_halves_are_column_major(self, inputs, fraction, seed):
+        X, y, _ = inputs
+        if X.shape[0] < 2:
+            return
+        pair = shuffle_split(make_matrix(X, y), fraction, seed=seed)
+        perm = np.random.Generator(np.random.PCG64(seed)).permutation(X.shape[0])
+        cut = int(np.floor(fraction * X.shape[0]))
+        for part, rows in ((pair.train, perm[:cut]), (pair.validation, perm[cut:])):
+            assert part.values.flags.f_contiguous
+            assert part.values.shape == X[rows].shape
+            assert part.values.tobytes() == X[rows].tobytes()
+            assert part.labels.tobytes() == y[rows].tobytes()
 
 
 class TestPearson:

@@ -232,19 +232,17 @@ def _reference_inputs(draw):
     y = np.array([minority_label] * n_min + [1 - minority_label] * n_maj)
     y = y[draw(st.permutations(range(y.size)))]
     cfg = SmoteConfig(100 * draw(st.integers(1, 4)), seed=draw(st.integers(0, 2**32 - 1)))
-    block = draw(st.integers(1, 2 * n_min * cfg.k + 1))
-    return make_matrix(X, y), cfg, block
+    return make_matrix(X, y), cfg
 
 
 class TestReferenceProperty:
     @settings(max_examples=150, deadline=None)
     @given(_reference_inputs())
     def test_equals_the_row_at_a_time_loop(self, inputs):
-        fm, cfg, block = inputs
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(resample, "_BLOCK_ROWS", block)  # blocks of 1 row up to one block
-            out, trace = random_smote_with_trace(fm, cfg)
+        fm, cfg = inputs
+        out, trace = random_smote_with_trace(fm, cfg)
         values, labels, expected = reference_smote(fm, cfg)
+        assert out.values.flags.f_contiguous
         assert out.values.shape == values.shape
         assert out.values.tobytes() == values.tobytes()
         assert out.labels.dtype == labels.dtype and out.labels.tobytes() == labels.tobytes()
@@ -267,12 +265,3 @@ class TestReferenceProperty:
         assert out.values.tobytes() == values.tobytes()
         for name in TRACE_FIELDS:
             assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes()
-
-    def test_block_size_does_not_change_the_bits(self, monkeypatch):
-        fm = imbalanced(n_min=40, n_maj=60, n_features=5, seed=12)
-        cfg = SmoteConfig(300, seed=21)
-        whole, _ = random_smote_with_trace(fm, cfg)
-        for block in (1, 7, 119, 120, 121):  # 40 * 3 = 120 synthetic rows
-            monkeypatch.setattr(resample, "_BLOCK_ROWS", block)
-            out, _ = random_smote_with_trace(fm, cfg)
-            assert out.values.tobytes() == whole.values.tobytes()

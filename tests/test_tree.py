@@ -291,6 +291,12 @@ class TestOracle:
         assert tree.apply(X).tolist() == [1, 2]
         assert tree.value[1:].tolist() == [0.0, 1.0]
 
+    def test_tie_break_prefers_lowest_threshold(self):
+        # splits at 1.5 and 3.5 leave the same SSE, bit for bit
+        X = np.array([[1.0], [2.0], [3.0], [4.0]])
+        tree, _ = fit_tree(X, [0.0, 1.0, 1.0, 0.0], TreeParams(max_depth=1))
+        assert tree.feature[0] == 0 and tree.threshold[0] == 1.5
+
     def test_tie_break_prefers_lowest_feature(self):
         # duplicated feature: identical gains, feature 0 must win
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -452,7 +458,9 @@ def _tree_inputs(draw):
     tied = draw(st.booleans())
     element = st.integers(-3, 3).map(float) if tied else st.floats(-5.0, 5.0)
     X = draw(arrays(np.float64, (n, d), elements=element))
-    t = draw(arrays(np.float64, n, elements=st.floats(-10.0, 10.0)))
+    # small integer targets make exact SSE ties between thresholds
+    target = st.integers(-2, 2).map(float) if draw(st.booleans()) else st.floats(-10.0, 10.0)
+    t = draw(arrays(np.float64, n, elements=target))
     params = TreeParams(
         max_depth=draw(st.integers(0, 6)),
         min_samples_split=draw(st.integers(2, 6)),
