@@ -7,8 +7,10 @@ encode -> balance -> split -> boost and saves the model, `tune` grid-searches
 (estimators, max depth), `evaluate` scores a saved model on labelled data,
 and `predict` emits labels/probabilities/raw scores for new rows.
 
-A run with --smote-percent 0 skips balancing (reports mark it Strategy 1);
-any positive multiple of 100 enables it (Strategy 2).  All randomness flows
+Each pipeline rule lives in the library module that owns it: the one-hot
+and correlation defaults, Strategy 1 at --smote-percent 0 (any positive
+multiple of 100 is Strategy 2), a model's input schema and the CSV field
+format; subcommands only pass their flags on.  All randomness flows
 from --seed: stage seeds derive as SeedSequence([seed, STAGE]) with STAGE
 1 for oversampling, 2 for the shuffle/split, and 3 for fold construction,
 so reruns with one seed reproduce every stage byte for byte.  --threads caps
@@ -125,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="COL=V1,V2",
         help="keep rows whose column equals one of the values; repeatable",
     )
-    p.add_argument("--drop", default="", metavar="COL1,COL2")
+    p.add_argument("--drop", type=_names, default=(), metavar="COL1,COL2")
     p.add_argument("--out", required=True)
     p.add_argument("--schema-out")
     p.set_defaults(func=cmd_prepare)
@@ -140,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("balance", help="randomized-SMOTE oversample an encoded matrix")
     p.add_argument("--input", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--one-hot", default=None, metavar="COL1,COL2")
+    p.add_argument("--one-hot", type=_names, metavar="COL1,COL2")
     p.add_argument("--smote-percent", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
@@ -189,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _pipeline_flags(p):
     p.add_argument("--input", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--one-hot", default=None, metavar="COL1,COL2")
+    p.add_argument("--one-hot", type=_names, metavar="COL1,COL2")
     p.add_argument("--smote-percent", type=int, default=0)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
@@ -216,9 +218,8 @@ def cmd_prepare(args):
             raise DataError(f"bad --filter {rule!r}, expected COL=V1,V2")
         column, values = rule.split("=", 1)
         ds = dataset.filter_equals(ds, column.strip(), values.split(","))
-    drops = [c.strip() for c in args.drop.split(",") if c.strip()]
-    if drops:
-        ds = dataset.drop_columns(ds, drops)
+    if args.drop:
+        ds = dataset.drop_columns(ds, args.drop)
     before = ds.n_rows
     ds = dataset.drop_missing_labels(ds)
     dataset.write_csv(ds, args.out)
@@ -231,19 +232,12 @@ def cmd_prepare(args):
 
 
 def cmd_corr(args):
-    schema = _read_schema(args.schema)
-    ds = dataset.drop_missing_labels(dataset.load_csv(args.input, schema))
-    plan = encode.fit_encoding(ds, one_hot=())
-    fm = encode.apply_encoding(ds, plan)
-    if args.columns:
-        columns = [c.strip() for c in args.columns.split(",")]
-    else:
-        columns = [c.name for c in schema.columns if c.kind == dataset.CONTINUOUS]
-        columns.append(schema.label_name)
+    ds = dataset.drop_missing_labels(dataset.load_csv(args.input, _read_schema(args.schema)))
+    fm = encode.apply_encoding(ds, encode.fit_encoding(ds, one_hot=()))
+    columns = [c.strip() for c in args.columns.split(",")] if args.columns else None
     result = encode.pearson_matrix(fm, columns)
     if args.out:
-        cells = [(result.names, np.arange(len(result.names)))]
-        cells += [dataset._per_value(column, repr) for column in result.matrix.T]
+        cells = [(np.array(result.names), str)] + [(column, repr) for column in result.matrix.T]
         dataset._write_records(args.out, ["", *result.names], cells, "\n")
     else:
         width = max(len(n) for n in result.names)
@@ -259,7 +253,7 @@ def cmd_corr(args):
 def cmd_balance(args):
     fm = _encoded_matrix(args)
     before = int(fm.labels.sum()), int(fm.n_rows - fm.labels.sum())
-    fm = _apply_balancing(fm, args)
+    fm = resample.random_smote(fm, args.smote)
     _write_matrix(fm, args.out)
     after = int(fm.labels.sum()), int(fm.n_rows - fm.labels.sum())
     print(f"label 1: {before[0]} -> {after[0]}; label 0: {before[1]} -> {after[1]}")
@@ -269,7 +263,7 @@ def cmd_train(args):
     split = _prepare_split(args)
     model, trace = boost.fit_gbc(split.train, _boost_params(args))
 
-    strategy = "Strategy 1" if args.smote_percent == 0 else "Strategy 2"
+    strategy = args.smote.strategy
     metadata = {
         "seed": args.seed,
         "estimators": args.estimators,
@@ -339,9 +333,8 @@ def cmd_predict(args):
     scores = boost.decision_function(model, fm.values)
     probas = boost.sigmoid(scores)
     labels = boost.label_scores(scores, args.threshold)
-    columns = list(map(dataset._per_value, (labels, probas, scores), (str, repr, repr)))
     dataset._write_records(args.out, ["predicted_label", "probability", "decision_score"],
-                           columns, "\n")
+                           [(labels, str), (probas, repr), (scores, repr)], "\n")
     if fm.unseen_categories:
         print(f"warning: {fm.unseen_categories} cells held categories unseen "
               f"at training time", file=sys.stderr)
@@ -372,30 +365,19 @@ def _read_schema(path) -> dataset.Schema:
     return dataset.Schema.from_json(text)
 
 
-def _resolve_one_hot(schema: dataset.Schema, arg):
-    if arg is not None:
-        return tuple(c.strip() for c in arg.split(",") if c.strip())
-    categorical = {c.name for c in schema.columns if c.kind == dataset.CATEGORICAL}
-    return tuple(c for c in encode.DEFAULT_ONE_HOT if c in categorical)
+def _names(text: str) -> tuple[str, ...]:
+    """The names of a comma-separated flag, trimmed, with empty ones left out."""
+    return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
 def _encoded_matrix(args) -> encode.FeatureMatrix:
-    schema = _read_schema(args.schema)
-    ds = dataset.drop_missing_labels(dataset.load_csv(args.input, schema))
-    plan = encode.fit_encoding(ds, one_hot=_resolve_one_hot(schema, args.one_hot))
-    return encode.apply_encoding(ds, plan)
-
-
-def _apply_balancing(fm: encode.FeatureMatrix, args) -> encode.FeatureMatrix:
-    """Strategy 2 oversamples the minority class; Strategy 1 returns fm as is."""
-    if args.smote.percent == 0:
-        return fm
-    return resample.random_smote(fm, args.smote)
+    ds = dataset.drop_missing_labels(dataset.load_csv(args.input, _read_schema(args.schema)))
+    return encode.apply_encoding(ds, encode.fit_encoding(ds, one_hot=args.one_hot))
 
 
 def _prepare_split(args) -> encode.SplitPair:
     """Encode, balance, then shuffle and split into training and validation."""
-    fm = _apply_balancing(_encoded_matrix(args), args)
+    fm = resample.random_smote(_encoded_matrix(args), args.smote)
     return encode.shuffle_split(
         fm, args.train_frac, seed=stage_seed(args.seed, SPLIT_STAGE)
     )
@@ -409,15 +391,9 @@ def _load_with_plan(path, model, labelled: bool):
     """
     if model.plan is None:
         raise DataError("model file carries no encoding plan")
-    plan = model.plan
-    schema = dataset.Schema(
-        plan.feature_columns + (dataset.Column(plan.label_name, dataset.LABEL),),
-        plan.positive_label_value,
-    )
-    ds = dataset.load_csv(path, schema, missing_label_ok=not labelled)
+    ds = dataset.load_csv(path, model.plan.schema, missing_label_ok=not labelled)
     cleaned = dataset.drop_missing_labels(ds) if labelled else ds
-    fm = encode.apply_encoding(cleaned, plan, training=False)
-    return ds, fm
+    return ds, encode.apply_encoding(cleaned, model.plan, training=False)
 
 
 def _evaluation_doc(model, fm, threshold, strategy, extra):
@@ -426,21 +402,19 @@ def _evaluation_doc(model, fm, threshold, strategy, extra):
     pred = boost.label_scores(scores, threshold)
     summary = metrics.summarize(metrics.confusion(fm.labels, pred))
     roc = metrics.roc_auc(fm.labels, scores)
-    doc = {"strategy": strategy}
-    doc.update(extra)
-    doc.update(
-        {
-            "validation_accuracy": summary.accuracy,
-            "recall": summary.recall,
-            "precision": summary.precision,
-            "f1": summary.f1,
-            "weighted_recall": summary.weighted_recall,
-            "weighted_precision": summary.weighted_precision,
-            "weighted_f1": summary.weighted_f1,
-            "auroc": roc.auroc,
-            "confusion": asdict(summary.confusion),
-        }
-    )
+    doc = {
+        "strategy": strategy,
+        **extra,
+        "validation_accuracy": summary.accuracy,
+        "recall": summary.recall,
+        "precision": summary.precision,
+        "f1": summary.f1,
+        "weighted_recall": summary.weighted_recall,
+        "weighted_precision": summary.weighted_precision,
+        "weighted_f1": summary.weighted_f1,
+        "auroc": roc.auroc,
+        "confusion": asdict(summary.confusion),
+    }
     if summary.degenerate:
         doc["degenerate_metrics"] = list(summary.degenerate)
     return doc, roc
@@ -463,8 +437,7 @@ def _write_json(doc, path):
 
 def _write_matrix(fm: encode.FeatureMatrix, path):
     """Write fm as CSV, each cell as `repr(float)` and the label as an int."""
-    columns = [dataset._per_value(column, repr) for column in fm.values.T]
-    columns.append(dataset._per_value(fm.labels, str))
+    columns = [(column, repr) for column in fm.values.T] + [(fm.labels, str)]
     dataset._write_records(path, [*fm.column_names, fm.plan.label_name], columns, "\n")
 
 

@@ -503,15 +503,18 @@ def _parse_or_none(text: str, col: Column):
 
 def write_csv(ds: Dataset, path) -> None:
     """Write a dataset in the CSV dialect that load_csv reads, each record ending in CRLF."""
-    _write_records(path, ds.schema.names, [_per_value(c, _format_cell) for c in ds.columns], "\r\n")
+    _write_records(path, ds.schema.names, [(c, _format_cell) for c in ds.columns], "\r\n")
 
 
 def _write_records(path, header, columns, line_end: str) -> None:
     """Write the `header` names, then a record per row, each ending in `line_end`.
 
-    Each column is (texts, index): its distinct field texts and each row's index into
-    them.  A text is quoted, each quote doubled, if it holds a comma, a quote, CR or LF,
-    or if it is empty and alone in its record, since load_csv skips a blank line."""
+    Each column is (values, formatter): a 1-D array or a `CodedColumn`, and the
+    function that gives one of its values as field text, called once per distinct
+    value.  A text is quoted, each quote doubled, if it holds a comma, a quote, CR or
+    LF, or if it is empty and alone in its record, since load_csv skips a blank line.
+    A first name that starts with U+FEFF is quoted too, or load_csv would read its
+    bytes as a byte-order mark."""
     def must(text):
         return any(c in text for c in ',"\r\n') or (not text and len(header) == 1)
 
@@ -520,10 +523,14 @@ def _write_records(path, header, columns, line_end: str) -> None:
             return texts
         return ['"' + t.replace('"', '""') + '"' if must(t) else t for t in texts]
 
+    names = quoted(header)
+    if names[0].startswith("\ufeff"):
+        names = ['"' + names[0] + '"', *names[1:]]
+    columns = [_per_value(values, formatter) for values, formatter in columns]
     fields = [np.array(quoted(texts), dtype=object) for texts, _ in columns]
     fields[-1] += line_end
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(quoted(header)) + line_end)
+        fh.write(",".join(names) + line_end)
         fh.writelines(map(",".join, zip(*(f[i].tolist() for f, (_, i) in zip(fields, columns)))))
 
 
@@ -571,11 +578,9 @@ def drop_columns(ds: Dataset, names) -> Dataset:
     """Remove the named feature columns; the label column may not be dropped."""
     names = list(names)
     for n in names:
-        i = ds.schema.index_of(n)
-        if ds.schema.columns[i].kind == LABEL:
+        if ds.schema.columns[ds.schema.index_of(n)].kind == LABEL:
             raise CannotDropLabelError(f"cannot drop label column {n!r}")
-    drop = set(names)
-    keep = [i for i, c in enumerate(ds.schema.columns) if c.name not in drop]
+    keep = [i for i, c in enumerate(ds.schema.columns) if c.name not in names]
     schema = Schema(tuple(ds.schema.columns[i] for i in keep), ds.schema.positive_label_value)
     return Dataset(schema, [ds.columns[i] for i in keep])
 

@@ -2,10 +2,13 @@
 
 Categorical columns get alphabetical integer codes (sorted distinct raw
 values, code = position).  Columns named in the one-hot set expand to one
-binary column per category instead.  Continuous columns pass through and the
-label maps to {0, 1}.  Encoding works on each column's dictionary
-(`dataset.CodedColumn`): the plan's categories are matched to its texts
-once, and every output column is written straight into the matrix.
+binary column per category instead; by default that set is the
+`DEFAULT_ONE_HOT` columns the dataset holds as categorical.  Continuous
+columns pass through and the label maps to {0, 1}.  Encoding works on each
+column's dictionary (`dataset.CodedColumn`): the plan's categories are
+matched to its texts once, and every output column is written straight
+into the matrix.  `EncodingPlan.schema` is the schema a model's input is
+read with.
 
 A :class:`FeatureMatrix` is column-major (Fortran order) by invariant, the
 column blocks of XGBoost (Chen & Guestrin 2016, section 4.1): split search,
@@ -62,6 +65,12 @@ class EncodingPlan:
     positive_label_value: str
 
     @property
+    def schema(self) -> Schema:
+        """The columns a dataset needs for this plan: the feature columns, then the label."""
+        return Schema(self.feature_columns + (Column(self.label_name, LABEL),),
+                      self.positive_label_value)
+
+    @property
     def output_names(self) -> tuple[str, ...]:
         names = []
         for col in self.feature_columns:
@@ -96,8 +105,7 @@ class EncodingPlan:
             label_name=doc["label_name"],
             positive_label_value=doc["positive_label_value"],
         )
-        # held to the schema rules: string names, one label, a string label value
-        Schema(plan.feature_columns + (Column(plan.label_name, LABEL),), plan.positive_label_value)
+        plan.schema  # held to the schema rules: string names, one label, a string label value
         return plan
 
 
@@ -152,31 +160,33 @@ class SplitPair:
     validation: FeatureMatrix
 
 
-def fit_encoding(ds: Dataset, one_hot=DEFAULT_ONE_HOT) -> EncodingPlan:
+def fit_encoding(ds: Dataset, one_hot=None) -> EncodingPlan:
     """Learn the encoding plan for a cleaned dataset.
+
+    `one_hot` names the columns to one-hot encode; None means those of
+    `DEFAULT_ONE_HOT` that `ds` holds as categorical.
 
     Raises:
         UnknownColumnError: a one-hot name is not a schema column.
         NotCategoricalError: a one-hot name refers to a non-categorical column.
         MissingCellError: a categorical cell is missing (only labels may be).
     """
-    feature_cols = tuple(c for c in ds.schema.columns if c.kind != "label")
-    present = {c.name: c for c in feature_cols}
+    feature_cols = tuple(c for c in ds.schema.columns if c.kind != LABEL)
+    categorical = [c.name for c in feature_cols if c.kind == CATEGORICAL]
+    if one_hot is None:
+        one_hot = [name for name in categorical if name in DEFAULT_ONE_HOT]
     for name in one_hot:
-        col = present.get(name)
-        if col is None:
-            ds.schema.index_of(name)  # raises UnknownColumnError
-            raise NotCategoricalError(f"column {name!r} is the label, not categorical")
-        if col.kind != CATEGORICAL:
-            raise NotCategoricalError(f"column {name!r} is {col.kind}, not categorical")
+        if name not in categorical:
+            kind = ds.schema.columns[ds.schema.index_of(name)].kind  # or UnknownColumnError
+            what = "the label" if kind == LABEL else kind
+            raise NotCategoricalError(f"column {name!r} is {what}, not categorical")
 
     categories = {}
-    for col in feature_cols:
-        if col.kind == CATEGORICAL:
-            _require_present(ds, col.name)
-            cells = ds.coded(col.name)
-            used = np.bincount(cells.codes, minlength=len(cells.texts)) > 0
-            categories[col.name] = tuple(t for t, u in zip(cells.texts, used.tolist()) if u)
+    for name in categorical:
+        _require_present(ds, name)
+        cells = ds.coded(name)
+        used = np.bincount(cells.codes, minlength=len(cells.texts)) > 0
+        categories[name] = tuple(t for t, u in zip(cells.texts, used.tolist()) if u)
 
     return EncodingPlan(
         feature_columns=feature_cols,
@@ -257,15 +267,19 @@ class CorrelationResult:
         self.matrix.flags.writeable = False
 
 
-def pearson_matrix(fm: FeatureMatrix, columns) -> CorrelationResult:
+def pearson_matrix(fm: FeatureMatrix, columns=None) -> CorrelationResult:
     """Sample Pearson correlations between the requested columns.
 
     `columns` may name any encoded feature column, plus the label column
-    (either its raw name from the plan or the literal "label").  Constant
+    (either its raw name from the plan or the literal "label"); None means
+    the plan's continuous feature columns, then the label.  Constant
     columns get correlation 0 everywhere and are reported in `degenerate`.
     """
     if fm.n_rows < 2:
         raise TooFewRowsError("correlations need at least 2 rows")
+    if columns is None:
+        columns = [c.name for c in fm.plan.feature_columns if c.kind == CONTINUOUS]
+        columns.append(fm.plan.label_name)
     vectors = []
     for name in columns:
         if name in fm.column_names:
@@ -279,15 +293,12 @@ def pearson_matrix(fm: FeatureMatrix, columns) -> CorrelationResult:
     norms = np.sqrt((centered**2).sum(axis=0))
     constant = norms == 0.0
 
-    k = len(columns)
     safe = np.where(constant, 1.0, norms)
     unit = centered / safe
     matrix = unit.T @ unit
     matrix[constant, :] = 0.0
     matrix[:, constant] = 0.0
-    for i in range(k):
-        if not constant[i]:
-            matrix[i, i] = 1.0
+    np.fill_diagonal(matrix, ~constant)
     matrix = np.clip(matrix, -1.0, 1.0)
     degenerate = tuple(n for n, c in zip(columns, constant) if c)
     return CorrelationResult(tuple(columns), matrix, degenerate)

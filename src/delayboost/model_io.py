@@ -18,7 +18,7 @@ import math
 from .boost import BoostedModel, BoostParams
 from .encode import EncodingPlan
 from .errors import CorruptModelError, ModelIOError, VersionMismatchError
-from .tree import RegressionTree, _json_int
+from .tree import RegressionTree, _json_int, _json_number
 
 FORMAT_VERSION = 1
 
@@ -50,7 +50,8 @@ def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
 
     Scores must come out finite, so f0, every threshold and every leaf value
     must be finite, and the learning rate must pass `BoostParams`'s rule.
-    Integer fields must be JSON integers: a float would be truncated.
+    Integer fields must be JSON integers, as a float would be truncated, and
+    every other number a JSON number: text or a boolean is not read as one.
     """
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CorruptModelError("not a model document")
@@ -65,8 +66,8 @@ def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
         plan = EncodingPlan.from_doc(plan_doc) if plan_doc is not None else None
         trees = tuple(RegressionTree.from_doc(t) for t in doc["trees"])
         model = BoostedModel(
-            f0=float(doc["f0"]),
-            learning_rate=BoostParams(len(trees), float(doc["learning_rate"])).learning_rate,
+            f0=_json_number(doc["f0"]),
+            learning_rate=BoostParams(len(trees), _json_number(doc["learning_rate"])).learning_rate,
             trees=trees,
             n_features=_json_int(doc["n_features"]),
             plan=plan,

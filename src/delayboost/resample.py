@@ -8,9 +8,9 @@ synthetic sample z_j is then interpolated between x_i and y_j:
     z_j = x_i + u_j * (y_j - x_i),   u_j ~ U[0, 1]
 
 so every z_j lands inside the triangle spanned by x_i, x_a, x_b.  The
-oversampling percentage R must be a positive multiple of 100 and produces
+oversampling percentage R must be a non-negative multiple of 100 and produces
 k = R / 100 synthetic rows per minority row, multiplying the minority count
-by exactly 1 + k.
+by exactly 1 + k.  R = 0 is Strategy 1: the input comes back as it is.
 
 Interpolation happens in the encoded numeric space, one-hot and integer-code
 columns included, so synthetic rows carry fractional indicator and code
@@ -26,11 +26,11 @@ position (a = c if c < position else c + 1).  This fixed sequential order
 makes the output a pure function of (matrix, config).
 
 The per-row Python loop only makes these draws and records them (they are
-the `SmoteTrace`).  The two interpolations then run one column at a time,
-each written straight into its column of the preallocated column-major
-output: the same element-wise expressions on the same operands, so every
-bit matches a row-at-a-time loop, and no temporary is larger than one
-column of the synthetic rows.
+the `SmoteTrace`).  `synthesize_point` then interpolates one column at a
+time, each written straight into its column of the preallocated
+column-major output: the same element-wise expressions on the same
+operands, so every bit matches a row-at-a-time loop, and no temporary is
+larger than one column of the synthetic rows.
 """
 
 from __future__ import annotations
@@ -60,6 +60,10 @@ class SmoteConfig:
     def k(self) -> int:
         return self.percent // 100
 
+    @property
+    def strategy(self) -> str:
+        return "Strategy 1" if self.k == 0 else "Strategy 2"
+
 
 @dataclass(frozen=True)
 class SmoteTrace:
@@ -77,8 +81,8 @@ class SmoteTrace:
     u: np.ndarray
 
 
-def synthesize_point(x_i, x_a, x_b, t: float, u: float) -> np.ndarray:
-    """The two-step interpolation; z = x_i + u * ((x_a + t * (x_b - x_a)) - x_i)."""
+def synthesize_point(x_i, x_a, x_b, t, u) -> np.ndarray:
+    """The two-step interpolation, element-wise: z = x_i + u * ((x_a + t * (x_b - x_a)) - x_i)."""
     x_i = np.asarray(x_i, dtype=np.float64)
     y = np.asarray(x_a, dtype=np.float64) + t * (np.asarray(x_b, dtype=np.float64) - x_a)
     return x_i + u * (y - x_i)
@@ -87,9 +91,10 @@ def synthesize_point(x_i, x_a, x_b, t: float, u: float) -> np.ndarray:
 def random_smote(fm: FeatureMatrix, cfg: SmoteConfig) -> FeatureMatrix:
     """Oversample the minority class; original rows first, synthetic appended.
 
+    At percent 0 (Strategy 1) `fm` itself comes back, and nothing is checked or drawn.
+
     Raises:
-        MinorityTooSmallError: fewer than 3 minority rows.
-        InvalidPercentError: percent is zero (k must be at least 1).
+        MinorityTooSmallError: fewer than 3 minority rows, at a positive percent.
     """
     out, _ = random_smote_with_trace(fm, cfg)
     return out
@@ -98,8 +103,9 @@ def random_smote(fm: FeatureMatrix, cfg: SmoteConfig) -> FeatureMatrix:
 def random_smote_with_trace(fm: FeatureMatrix, cfg: SmoteConfig):
     """Like :func:`random_smote` but also returns the :class:`SmoteTrace`."""
     k = cfg.k
-    if k < 1:
-        raise InvalidPercentError("percent must be a positive multiple of 100")
+    if k == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return fm, SmoteTrace(empty, empty, empty, np.empty(0), np.empty(0))
     minority_label = _minority_label(fm.labels)
     minority_idx = np.flatnonzero(fm.labels == minority_label)
     m = minority_idx.size
@@ -129,9 +135,9 @@ def random_smote_with_trace(fm: FeatureMatrix, cfg: SmoteConfig):
     values = np.empty((n + m * k, fm.n_features), order="F")
     values[:n] = fm.values
     for j, x in enumerate(fm.values.T):
-        x_i, x_a, x_b = x.take(trace.seed_row), x.take(trace.first), x.take(trace.second)
-        y = x_a + trace.t * (x_b - x_a)
-        values[n:, j] = x_i + trace.u * (y - x_i)
+        values[n:, j] = synthesize_point(
+            x.take(trace.seed_row), x.take(trace.first), x.take(trace.second), trace.t, trace.u
+        )
     labels = np.concatenate([fm.labels, np.full(m * k, minority_label, dtype=np.int64)])
     return replace(fm, values=values, labels=labels), trace
 

@@ -65,6 +65,15 @@ def _json_int(value) -> int:
     return value
 
 
+def _json_number(value) -> float:
+    """A number field of a model file, with null read as NaN; ValueError unless a JSON number."""
+    if value is None:
+        return np.nan
+    if isinstance(value, bool) or not isinstance(value, (int, float)):  # float() reads text
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class TreeParams:
     max_depth: int = 3
@@ -160,32 +169,30 @@ class RegressionTree:
             np.array([_json_int(v) for v in doc[key]], dtype=np.int64)
             for key in ("feature", "left", "right")
         )
+        threshold, value = (
+            np.array([_json_number(v) for v in doc[key]]) for key in ("threshold", "value")
+        )
         n, n_features = feature.size, _json_int(doc["n_features"])
         if n == 0:
             raise ValueError("tree has no nodes")
-        threshold = np.array([np.nan if t is None else float(t) for t in doc["threshold"]])
-        value = np.array([np.nan if v is None else float(v) for v in doc["value"]])
         if not (threshold.size == left.size == right.size == value.size == n):
             raise ValueError("node arrays have inconsistent lengths")
+        leaf, kids = feature == _LEAF, np.stack([left, right], axis=1)
+        bad_kid = ~leaf[:, None] & ((kids <= np.arange(n)[:, None]) | (kids >= n))
         # every node but the root has exactly one parent, so the nodes form one tree
-        has_parent = np.zeros(n, dtype=bool)
-        for node in range(n):
-            if feature[node] == _LEAF:
-                if left[node] != _LEAF or right[node] != _LEAF or not np.isfinite(value[node]):
-                    raise ValueError(f"malformed leaf node {node}")
-            else:
-                if not (0 <= feature[node] < n_features):
-                    raise ValueError(f"node {node} splits on unknown feature")
-                for child in (left[node], right[node]):
-                    if not node < child < n:
-                        raise ValueError(f"node {node} has invalid child {child}")
-                    if has_parent[child]:
-                        raise ValueError(f"node {child} has two parents")
-                    has_parent[child] = True
-                if not np.isfinite(threshold[node]):
-                    raise ValueError(f"node {node} threshold is missing or not finite")
-        if not has_parent[1:].all():
-            raise ValueError(f"node {1 + np.argmin(has_parent[1:])} is unreachable from the root")
+        parents = np.bincount(kids[~leaf & ~bad_kid.any(1)].ravel(), minlength=n)
+        for fault, message in (
+            (leaf & ((kids != _LEAF).any(1) | ~np.isfinite(value)), "malformed leaf node {0}"),
+            (~leaf & ((feature < 0) | (feature >= n_features)),
+             "node {0} splits on unknown feature"),
+            (bad_kid.any(1), "node {0} has invalid child {1}"),
+            (~leaf & ~np.isfinite(threshold), "node {0} threshold is missing or not finite"),
+            (parents > 1, "node {0} has two parents"),
+            ((parents == 0) & (np.arange(n) > 0), "node {0} is unreachable from the root"),
+        ):
+            if fault.any():
+                node = np.argmax(fault)
+                raise ValueError(message.format(node, kids[node, np.argmax(bad_kid[node])]))
         return cls(feature, threshold, left, right, value, n_features)
 
 

@@ -171,16 +171,8 @@ def grid_search(
                     fold_scores[estimators, depth].append(getattr(summary, metric))
         del fit_rows, held_out  # peak memory: free them before the next fold copies its rows
 
-    cells = []
-    best = None
-    best_mean = -np.inf
-    for (estimators, depth), scores in fold_scores.items():
-        cell = CellScore(estimators, depth, tuple(scores))
-        cells.append(cell)
-        if cell.mean_score > best_mean:
-            best_mean = cell.mean_score
-            best = (estimators, depth)
-
+    cells = tuple(CellScore(e, d, tuple(scores)) for (e, d), scores in fold_scores.items())
+    best = max(cells, key=lambda c: c.mean_score)  # the first best: the cheapest cell
     return GridResult(
-        cells=tuple(cells), best=best, folds=folds, metric=metric, seed=seed
+        cells=cells, best=(best.estimators, best.depth), folds=folds, metric=metric, seed=seed
     )

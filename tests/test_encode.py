@@ -15,10 +15,15 @@ from delayboost.dataset import (
     Column,
     Dataset,
     Schema,
+    drop_columns,
     filter_equals,
+    generate_synthetic,
     label_classes,
+    load_csv,
+    write_csv,
 )
 from delayboost.encode import (
+    DEFAULT_ONE_HOT,
     EncodingPlan,
     _require_present,
     apply_encoding,
@@ -84,6 +89,21 @@ class TestFitEncoding:
         with pytest.raises(NotCategoricalError):
             fit_encoding(BASE, one_hot=("y",))
 
+    def test_default_one_hot_is_the_default_columns_present(self):
+        # as `prepare --drop Origin_World_Area_Code` leaves the synthetic schema
+        ds = drop_columns(generate_synthetic(60, 0.3, seed=1), ["Origin_World_Area_Code"])
+        present = tuple(c for c in DEFAULT_ONE_HOT if c != "Origin_World_Area_Code")
+        assert fit_encoding(ds) == fit_encoding(ds, one_hot=present)
+        assert fit_encoding(ds).one_hot == frozenset(present)
+        with pytest.raises(UnknownColumnError):  # a tuple given is checked strictly
+            fit_encoding(ds, one_hot=DEFAULT_ONE_HOT)
+
+    def test_default_one_hot_leaves_out_a_default_name_that_is_not_categorical(self):
+        schema = Schema((Column("Origin_Airport_ID", CONTINUOUS), *SCHEMA.columns), "1")
+        ds = Dataset(schema, ((1.0, 2.0, 3.0), *BASE.columns))
+        assert fit_encoding(ds) == fit_encoding(ds, one_hot=())
+        assert fit_encoding(BASE) == fit_encoding(BASE, one_hot=())
+
     def test_missing_categorical_cell(self):
         ds = flights((None, "AA", 1.0, "1"))
         with pytest.raises(MissingCellError):
@@ -92,6 +112,19 @@ class TestFitEncoding:
     def test_plan_doc_round_trip(self):
         plan = fit_encoding(BASE, one_hot=("airport",))
         assert EncodingPlan.from_doc(plan.to_doc()) == plan
+
+    def test_plan_schema_loads_as_the_hand_built_schema(self, tmp_path):
+        # the label first in the file's schema, last in the plan's
+        schema = Schema((SCHEMA.columns[-1], *SCHEMA.columns[:-1]), "1")
+        ds = Dataset(schema, (BASE.columns[-1], *BASE.columns[:-1]))
+        path = tmp_path / "data.csv"
+        write_csv(ds, path)
+        plan = fit_encoding(ds, one_hot=("airport",))
+        hand = Schema(plan.feature_columns + (Column("y", LABEL),), "1")
+        assert plan.schema == hand and plan.schema.names == ["airport", "carrier", "dep", "y"]
+        ours, theirs = load_csv(path, plan.schema), load_csv(path, hand)
+        for name in hand.names:
+            assert ours.column(name).tobytes() == theirs.column(name).tobytes()
 
     @pytest.mark.parametrize("cats", [["b", "a", "c"], ["a", "a", "b", "c"]])
     def test_plan_doc_categories_must_be_sorted_and_distinct(self, cats):
@@ -358,6 +391,11 @@ class TestPearson:
         fm = make_matrix([[1.0], [2.0], [3.0]], [0, 1, 0])
         r = pearson_matrix(fm, ["x0", "x0"])
         assert r.matrix[0, 1] == pytest.approx(1.0)
+
+    def test_default_columns_are_the_continuous_features_then_the_label(self):
+        fm = apply_encoding(BASE, fit_encoding(BASE, one_hot=("airport",)))
+        assert pearson_matrix(fm).names == ("dep", "y")
+        assert np.array_equal(pearson_matrix(fm).matrix, pearson_matrix(fm, ["dep", "y"]).matrix)
 
     def test_anticorrelation(self):
         fm = make_matrix([[1.0, -1.0], [2.0, -2.0], [3.0, -3.0]], [0, 1, 0])

@@ -136,6 +136,12 @@ class TestValidation:
             (("trees", 0, "threshold", 0), float("inf"), "threshold is missing or not finite"),
             # the last node in preorder is a leaf
             (("trees", 0, "value", -1), float("-inf"), "malformed leaf node"),
+            # every number must be a JSON number, not text or a boolean
+            (("f0",), "0.1", "expected a number, got '0.1'"),
+            (("learning_rate",), "0.5", "expected a number, got '0.5'"),
+            (("f0",), True, "expected a number, got True"),
+            (("trees", 0, "threshold", 0), "1.5", "expected a number, got '1.5'"),
+            (("trees", 0, "value", -1), True, "expected a number, got True"),
         ],
     )
     def test_out_of_range_value_is_corrupt(

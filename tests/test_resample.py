@@ -105,10 +105,16 @@ class TestCounts:
         with pytest.raises(MinorityTooSmallError):
             random_smote(fm, SmoteConfig(100, seed=0))
 
-    def test_zero_percent_rejected(self):
-        fm = imbalanced()
-        with pytest.raises(InvalidPercentError):
-            random_smote(fm, SmoteConfig(0, seed=0))
+    def test_zero_percent_returns_the_input(self):
+        # Strategy 1: no minority check and no draw, so fewer than 3 minority rows pass
+        for n_min in (5, 1, 0):
+            fm = imbalanced(n_min=n_min)
+            assert random_smote(fm, SmoteConfig(0)) is fm
+            out, trace = random_smote_with_trace(fm, SmoteConfig(0, seed=3))
+            assert out is fm
+            assert all(getattr(trace, name).size == 0 for name in TRACE_FIELDS)
+        assert SmoteConfig(0).strategy == "Strategy 1"
+        assert SmoteConfig(100).strategy == "Strategy 2"
 
     def test_minority_is_smaller_class_even_when_label_zero(self):
         fm = imbalanced(n_min=4, n_maj=9)

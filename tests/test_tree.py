@@ -540,6 +540,24 @@ class TestSerialization:
             RegressionTree.from_doc(bad)
 
     @pytest.mark.parametrize(
+        "key, node, value, problem",
+        [
+            ("value", 1, None, "malformed leaf node 1"),
+            ("right", 2, 1, "malformed leaf node 2"),
+            ("feature", 0, 1, "node 0 splits on unknown feature"),
+            ("left", 0, 0, "node 0 has invalid child 0"),
+            ("right", 0, 3, "node 0 has invalid child 3"),
+            ("threshold", 0, None, "node 0 threshold is missing or not finite"),
+        ],
+    )
+    def test_names_the_faulty_node(self, key, node, value, problem):
+        tree, _ = fit_tree([[1.0], [2.0]], [0.0, 1.0], TreeParams(max_depth=1))
+        doc = tree.to_doc()
+        doc[key][node] = value
+        with pytest.raises(ValueError, match=f"^{problem}$"):
+            RegressionTree.from_doc(doc)
+
+    @pytest.mark.parametrize(
         "left, right, problem",
         [
             # node 3 is a child of both 1 and 2, node 5 of both 2 and 4
