@@ -63,11 +63,16 @@ class BoostParams:
 
 @dataclass(frozen=True)
 class BoostedModel:
+    """An ensemble, and the plan of the matrix it was fit on: it encodes the rows scored."""
+
     f0: float
     learning_rate: float
     trees: tuple[RegressionTree, ...]
-    n_features: int
-    plan: EncodingPlan | None = None
+    plan: EncodingPlan
+
+    @property
+    def n_features(self) -> int:
+        return len(self.plan.output_names)
 
 
 @dataclass(frozen=True)
@@ -132,13 +137,7 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
         deviance.append(mean_deviance(y, f))
         accuracy.append(_accuracy(y, f))
 
-    model = BoostedModel(
-        f0=f0,
-        learning_rate=params.learning_rate,
-        trees=tuple(trees),
-        n_features=X.shape[1],
-        plan=train.plan,
-    )
+    model = BoostedModel(f0, params.learning_rate, tuple(trees), train.plan)
     return model, TrainingTrace(tuple(deviance), tuple(accuracy))
 
 

@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corr", help="Pearson correlations between encoded columns")
     p.add_argument("--input", required=True)
     p.add_argument("--schema", required=True)
-    p.add_argument("--columns", help="comma list; default: continuous features + label")
+    p.add_argument("--columns", type=_names, metavar="COL1,COL2",
+                   help="default: continuous features + label")
     p.add_argument("--out", help="write CSV here instead of printing a table")
     p.set_defaults(func=cmd_corr)
 
@@ -234,8 +235,7 @@ def cmd_prepare(args):
 def cmd_corr(args):
     ds = dataset.drop_missing_labels(dataset.load_csv(args.input, _read_schema(args.schema)))
     fm = encode.apply_encoding(ds, encode.fit_encoding(ds, one_hot=()))
-    columns = [c.strip() for c in args.columns.split(",")] if args.columns else None
-    result = encode.pearson_matrix(fm, columns)
+    result = encode.pearson_matrix(fm, args.columns or None)
     if args.out:
         cells = [(np.array(result.names), str)] + [(column, repr) for column in result.matrix.T]
         dataset._write_records(args.out, ["", *result.names], cells, "\n")
@@ -389,8 +389,6 @@ def _load_with_plan(path, model, labelled: bool):
     `labelled` input must have the label column and loses its unlabelled
     rows; otherwise the label column may be absent and every row is kept.
     """
-    if model.plan is None:
-        raise DataError("model file carries no encoding plan")
     ds = dataset.load_csv(path, model.plan.schema, missing_label_ok=not labelled)
     cleaned = dataset.drop_missing_labels(ds) if labelled else ds
     return ds, encode.apply_encoding(cleaned, model.plan, training=False)

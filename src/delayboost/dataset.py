@@ -341,7 +341,9 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
     if b"\0" in data:
         raise FieldParseError(f"{path}: NUL character in file")
     bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    buf = np.frombuffer(data, np.uint8)[bom:]
+    # 8 zero bytes after the text, so an 8-byte word fits at every cell's start
+    data = data[bom:] + bytes(8)
+    buf = np.frombuffer(data, np.uint8)[:-8]
     starts, ends, count = _split_fields(buf, path)
     if not count.size:
         raise EmptyInputError(f"{path}: empty file, header required")
@@ -364,13 +366,10 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
     cells = slice(count[0], count[0] + n_rows * len(header))
     cell_starts = starts[cells].reshape(n_rows, len(header))
     cell_lengths = ends[cells].reshape(n_rows, len(header)) - cell_starts
-    # zero bytes after the text, so a window as wide as the longest cell,
-    # and at least 8 bytes wide, fits at every cell's start
-    padded = np.concatenate([buf, np.zeros(max(8, cell_lengths.max(initial=0)), np.uint8)])
     columns, bad_cells = {}, []
     for order, col in enumerate(present):
         p = header.index(col.name)
-        distinct, inverse = _distinct_cells(padded, cell_starts[:, p], cell_lengths[:, p])
+        distinct, inverse = _distinct_cells(data, cell_starts[:, p], cell_lengths[:, p])
         texts = [_unquote(raw) for raw in distinct]
         values = [_parse_or_none(text, col) for text in texts]
         if None in values:  # this column's first bad cell in row order
@@ -466,21 +465,23 @@ def _check_quotes(buf, is_quote, inside, separator, path) -> None:
     raise FieldParseError(f"{path}: line {_line_number(buf, at)}: {what}")
 
 
-def _distinct_cells(padded: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
-    """The distinct byte strings padded[start:start + length], and each cell's index into them.
+def _distinct_cells(raw: bytes, starts: np.ndarray, lengths: np.ndarray):
+    """The distinct byte strings raw[start:start + length], and each cell's index into them.
 
-    Cells are compared as fixed-width keys: one little-endian uint64 each when
-    the longest cell fits in 8 bytes, else bytes ("S") as wide as the longest.
+    `raw` ends in 8 zero bytes past the last cell.  When every cell fits in
+    8 bytes, each is keyed as the little-endian uint64 that starts at it,
+    with the bytes past its end masked off, and the keys are sorted.  Else
+    each cell is keyed by its own bytes in a dict, so memory grows with the
+    text, not with the rows times the longest cell.
     """
-    width = int(lengths.max(initial=0))
-    if width <= 8:
-        words = np.ndarray(padded.size - 7, "<u8", padded, strides=(1,))
+    if lengths.max(initial=0) <= 8:
+        words = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))
         keys, inverse = np.unique(words[starts] & _FIRST_BYTES[lengths], return_inverse=True)
         return keys.astype("<u8").view("S8").tolist(), inverse
-    cells = np.lib.stride_tricks.sliding_window_view(padded, width)[starts]
-    cells[np.arange(width) >= lengths[:, None]] = 0
-    keys, inverse = np.unique(cells.view(f"S{width}").ravel(), return_inverse=True)
-    return keys.tolist(), inverse
+    index = {}
+    inverse = [index.setdefault(raw[s:s + n], len(index))
+               for s, n in zip(starts.tolist(), lengths.tolist())]
+    return list(index), np.array(inverse, dtype=np.intp)
 
 
 # _FIRST_BYTES[k] keeps the first k bytes of a little-endian 8-byte word

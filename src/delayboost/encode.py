@@ -111,16 +111,16 @@ class EncodingPlan:
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Fully numeric n x d matrix with a binary label vector.
+    """Fully numeric n x d matrix with a binary label vector, and the plan that made it.
 
     `values` is always F-contiguous (column-major) and read-only; values in
-    another layout are copied into that one here.
+    another layout are copied into that one here.  ValueError unless it has
+    one column per name of `plan.output_names`, which are its column names.
     """
 
     values: np.ndarray
     labels: np.ndarray
-    column_names: tuple[str, ...]
-    plan: EncodingPlan | None = None
+    plan: EncodingPlan
     unseen_categories: int = 0
 
     def __post_init__(self):
@@ -129,6 +129,13 @@ class FeatureMatrix:
         object.__setattr__(self, "labels", np.asarray(self.labels, dtype=np.int64))
         self.values.flags.writeable = False
         self.labels.flags.writeable = False
+        if self.values.shape[1:] != (len(self.column_names),):
+            raise ValueError(f"values of shape {self.values.shape} do not fit a plan "
+                             f"of {len(self.column_names)} columns")
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        return self.plan.output_names
 
     @property
     def n_rows(self) -> int:
@@ -242,13 +249,7 @@ def apply_encoding(ds: Dataset, plan: EncodingPlan, training: bool = True) -> Fe
             f"row {np.argmax(missing)}: missing label (drop missing labels first)"
         )
 
-    return FeatureMatrix(
-        values=values,
-        labels=classes == 1,
-        column_names=plan.output_names,
-        plan=plan,
-        unseen_categories=unseen,
-    )
+    return FeatureMatrix(values=values, labels=classes == 1, plan=plan, unseen_categories=unseen)
 
 
 def _require_present(ds: Dataset, name: str) -> None:
@@ -274,17 +275,20 @@ def pearson_matrix(fm: FeatureMatrix, columns=None) -> CorrelationResult:
     (either its raw name from the plan or the literal "label"); None means
     the plan's continuous feature columns, then the label.  Constant
     columns get correlation 0 everywhere and are reported in `degenerate`.
+    An empty `columns`, or a name fm does not hold, is a DataError.
     """
     if fm.n_rows < 2:
         raise TooFewRowsError("correlations need at least 2 rows")
     if columns is None:
         columns = [c.name for c in fm.plan.feature_columns if c.kind == CONTINUOUS]
         columns.append(fm.plan.label_name)
+    elif len(columns) == 0:
+        raise DataError("correlations need at least one column")
     vectors = []
     for name in columns:
         if name in fm.column_names:
             vectors.append(fm.column(name))
-        elif name == "label" or (fm.plan is not None and name == fm.plan.label_name):
+        elif name in ("label", fm.plan.label_name):
             vectors.append(fm.labels.astype(np.float64))
         else:
             raise DataError(f"column {name!r} not in the feature matrix")

@@ -1,8 +1,8 @@
 """Versioned JSON persistence for boosted models.
 
 A model file carries the format version, the prior score and learning rate,
-every tree as a flat node array with child indices, the embedded encoding
-plan (so prediction-time encoding needs nothing but the model file), a
+every tree as a flat node array with child indices, the encoding plan it
+must embed (so prediction-time encoding needs nothing but the model file), a
 SHA-256 digest of the plan, and free-form training metadata.  Serialization
 is canonical: sorted keys, fixed separators, floats written with full
 round-trip precision.  Saving the same model with the same metadata twice
@@ -32,7 +32,7 @@ def _plan_digest(plan_doc) -> str:
 
 
 def model_to_doc(model: BoostedModel, metadata: dict | None = None) -> dict:
-    plan_doc = model.plan.to_doc() if model.plan is not None else None
+    plan_doc = model.plan.to_doc()
     return {
         "format_version": FORMAT_VERSION,
         "f0": model.f0,
@@ -48,10 +48,12 @@ def model_to_doc(model: BoostedModel, metadata: dict | None = None) -> dict:
 def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
     """Rebuild (model, metadata); validates structure, values, the plan digest and widths.
 
-    Scores must come out finite, so f0, every threshold and every leaf value
-    must be finite, and the learning rate must pass `BoostParams`'s rule.
-    Integer fields must be JSON integers, as a float would be truncated, and
-    every other number a JSON number: text or a boolean is not read as one.
+    The plan is required, and its width is the model's and every tree's
+    `n_features`.  Scores must come out finite, so f0, every threshold and
+    every leaf value must be finite, and the learning rate must pass
+    `BoostParams`'s rule.  Integer fields must be JSON integers, as a float
+    would be truncated, and every other number a JSON number: text or a
+    boolean is not read as one.
     """
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CorruptModelError("not a model document")
@@ -63,24 +65,24 @@ def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
         plan_doc = doc["encoding_plan"]
         if _plan_digest(plan_doc) != doc["schema_digest"]:
             raise CorruptModelError("schema digest mismatch")
-        plan = EncodingPlan.from_doc(plan_doc) if plan_doc is not None else None
+        if plan_doc is None:
+            raise CorruptModelError("model file carries no encoding plan")
+        plan = EncodingPlan.from_doc(plan_doc)
         trees = tuple(RegressionTree.from_doc(t) for t in doc["trees"])
         model = BoostedModel(
             f0=_json_number(doc["f0"]),
             learning_rate=BoostParams(len(trees), _json_number(doc["learning_rate"])).learning_rate,
             trees=trees,
-            n_features=_json_int(doc["n_features"]),
             plan=plan,
         )
         if not math.isfinite(model.f0):
             raise CorruptModelError(f"f0 is not finite: {model.f0}")
-        widths = {f"tree {i}": t.n_features for i, t in enumerate(model.trees)}
-        if plan is not None:
-            widths["encoding plan"] = len(plan.output_names)
+        widths = {"model": _json_int(doc["n_features"])}
+        widths.update((f"tree {i}", t.n_features) for i, t in enumerate(trees))
         for part, width in widths.items():
             if width != model.n_features:
                 raise CorruptModelError(
-                    f"{part} has {width} features, model has {model.n_features}"
+                    f"{part} has {width} features, encoding plan has {model.n_features}"
                 )
         metadata = doc.get("metadata", {})
         if not isinstance(metadata, dict):

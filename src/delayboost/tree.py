@@ -219,15 +219,16 @@ def presort(X: np.ndarray) -> np.ndarray:
 
 def fit_tree(
     X: np.ndarray, targets: np.ndarray, params: TreeParams, *, order: np.ndarray | None = None
-) -> RegressionTree:
-    """Fit a least-squares regression tree; leaf value = mean of its targets.
+) -> tuple[RegressionTree, np.ndarray]:
+    """Fit a least-squares regression tree; returns (tree, each row's leaf id).
 
-    `order` is `presort(X)`, computed here when not given.  The tree grows one
-    level at a time, each level's split search taking one pass per presorted
-    column, yet the result equals a recursive search that argsorts every
-    column at every node, bit for bit.  Every node shallower than `max_depth`
-    is searched, and `_scan` alone applies the other split rules.  Nodes are
-    numbered in preorder: a node, its left subtree, its right subtree.
+    Leaf value = mean of its targets.  `order` is `presort(X)`, computed here
+    when not given.  The tree grows one level at a time, each level's split
+    search taking one pass per presorted column, yet the result equals a
+    recursive search that argsorts every column at every node, bit for bit.
+    Every node shallower than `max_depth` is searched, and `_scan` alone
+    applies the other split rules.  Nodes are numbered in preorder: a node,
+    its left subtree, its right subtree.
 
     Raises:
         EmptyInputError: no rows.

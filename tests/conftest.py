@@ -5,7 +5,8 @@ import pytest
 from hypothesis import strategies as st
 
 from delayboost.cli import main
-from delayboost.encode import FeatureMatrix
+from delayboost.dataset import CONTINUOUS, Column
+from delayboost.encode import EncodingPlan, FeatureMatrix
 
 
 # Text as load_csv returns it: stripped (NUL is rejected on load).
@@ -19,11 +20,16 @@ def header_names(size: int):
     return st.lists(TEXT.filter(bool), min_size=size, max_size=size, unique=True)
 
 
+def continuous_plan(names) -> EncodingPlan:
+    """The plan of continuous columns `names`, with label "label" and positive value "1"."""
+    return EncodingPlan(tuple(Column(n, CONTINUOUS) for n in names), {}, frozenset(), "label", "1")
+
+
 def make_matrix(values, labels, names=None) -> FeatureMatrix:
     values = np.asarray(values, dtype=np.float64)
     if names is None:
         names = tuple(f"x{i}" for i in range(values.shape[1]))
-    return FeatureMatrix(values, np.asarray(labels, dtype=np.int64), tuple(names))
+    return FeatureMatrix(values, np.asarray(labels, dtype=np.int64), continuous_plan(names))
 
 
 def separable_matrix(n=200, seed=42) -> FeatureMatrix:

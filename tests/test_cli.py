@@ -106,6 +106,18 @@ class TestPipeline:
         diag = float(lines[1].split(",")[1])
         assert diag == 1.0
 
+    @pytest.mark.parametrize("columns, same_as", [
+        ("CRS_Departure_Time,Arr_Del_15,", "CRS_Departure_Time,Arr_Del_15"),
+        (" ,CRS_Departure_Time,,Arr_Del_15", "CRS_Departure_Time,Arr_Del_15"),
+        (",", None),
+    ], ids=["trailing-comma", "empty-names", "no-names"])
+    def test_corr_columns_skip_empty_names(self, workspace, columns, same_as):
+        data = ["--input", workspace / "data.csv", "--schema", workspace / "schema.json"]
+        assert run("corr", *data, "--columns", columns, "--out", workspace / "got.csv") == 0
+        expected = ["--columns", same_as] if same_as else []  # no names: the default columns
+        assert run("corr", *data, *expected, "--out", workspace / "expected.csv") == 0
+        assert (workspace / "got.csv").read_bytes() == (workspace / "expected.csv").read_bytes()
+
     def test_balance_counts(self, workspace, capsys):
         assert run(
             "balance", "--input", workspace / "data.csv",
@@ -642,8 +654,7 @@ def _balanced_matrices(draw):
     plan = db.EncodingPlan(tuple(db.Column(f, "continuous") for f in features), {},
                            frozenset(), label, "1")
     return db.FeatureMatrix(np.array(values, dtype=np.float64).reshape(n, len(features)),
-                            draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
-                            tuple(features), plan)
+                            draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), plan)
 
 
 class TestBalancedFile:

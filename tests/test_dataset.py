@@ -1,5 +1,6 @@
 import csv
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,21 @@ class TestCsvDialect:
         names = ["", "a", "12345678", "123456789", "x" * 16, "y" * 17, "é" * 40, "a" * 8]
         text = "name,y\n" + "".join(f'"{n}",1\n' for n in names)
         assert load_csv(write(tmp_path, text), schema).column("name").tolist() == names
+
+    def test_a_wide_cell_costs_only_its_own_bytes(self, tmp_path):
+        # keying every cell of the column as wide as its widest takes rows x 50,000 bytes
+        schema = Schema((Column("name", CATEGORICAL), Column("y", LABEL)), "1")
+        names = [f"n{i}" for i in range(1000)] + ["w" * 50_000]
+        path = write(tmp_path, "name,y\n" + "".join(f"{n},1\n" for n in names))
+        tracemalloc.start()
+        try:
+            ds = load_csv(path, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column = ds.coded("name")
+        assert [column.texts[c] for c in column.codes] == names
+        assert peak < 10_000_000
 
     def test_trailing_blank_line_is_skipped(self, tmp_path):
         assert rows(load_csv(write(tmp_path, "a,y\n930,0\n\n"), LABELLED)) == [(930.0, "0")]

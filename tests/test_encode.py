@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from hypothesis.extra.numpy import arrays
 
-from conftest import make_matrix
+from conftest import continuous_plan, make_matrix
 from delayboost.dataset import (
     CATEGORICAL,
     CONTINUOUS,
@@ -25,6 +25,7 @@ from delayboost.dataset import (
 from delayboost.encode import (
     DEFAULT_ONE_HOT,
     EncodingPlan,
+    FeatureMatrix,
     _require_present,
     apply_encoding,
     fit_encoding,
@@ -365,6 +366,7 @@ class TestColumnMajorProperty:
         fm = make_matrix(X, y)
         assert fm.values.flags.f_contiguous and not fm.values.flags.writeable
         out = fm.take(rows)
+        assert out.plan is fm.plan and out.column_names == fm.plan.output_names
         assert out.values.flags.f_contiguous
         assert out.values.shape == X[rows].shape
         assert out.values.tobytes() == X[rows].tobytes()
@@ -376,14 +378,23 @@ class TestColumnMajorProperty:
         X, y, _ = inputs
         if X.shape[0] < 2:
             return
-        pair = shuffle_split(make_matrix(X, y), fraction, seed=seed)
+        fm = make_matrix(X, y)
+        pair = shuffle_split(fm, fraction, seed=seed)
         perm = np.random.Generator(np.random.PCG64(seed)).permutation(X.shape[0])
         cut = int(np.floor(fraction * X.shape[0]))
         for part, rows in ((pair.train, perm[:cut]), (pair.validation, perm[cut:])):
+            assert part.plan is fm.plan and part.column_names == fm.plan.output_names
             assert part.values.flags.f_contiguous
             assert part.values.shape == X[rows].shape
             assert part.values.tobytes() == X[rows].tobytes()
             assert part.labels.tobytes() == y[rows].tobytes()
+
+
+class TestFeatureMatrix:
+    @pytest.mark.parametrize("shape", [(3, 1), (3, 3), (3,), (3, 2, 1)])
+    def test_values_must_be_as_wide_as_the_plan(self, shape):
+        with pytest.raises(ValueError, match="do not fit a plan of 2 columns"):
+            FeatureMatrix(np.zeros(shape), np.zeros(3, dtype=np.int64), continuous_plan("ab"))
 
 
 class TestPearson:
@@ -446,6 +457,11 @@ class TestPearson:
         fm = make_matrix([[1.0], [2.0]], [0, 1])
         with pytest.raises(DataError):
             pearson_matrix(fm, ["nope"])
+
+    def test_no_columns(self):
+        fm = make_matrix([[1.0], [2.0]], [0, 1])
+        with pytest.raises(DataError, match="at least one column"):
+            pearson_matrix(fm, [])
 
 
 class TestShuffleSplit:

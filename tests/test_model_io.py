@@ -12,7 +12,7 @@ from delayboost.cli import main
 from delayboost.dataset import generate_synthetic
 from delayboost.encode import fit_encoding
 from delayboost.errors import CorruptModelError, ModelIOError, VersionMismatchError
-from delayboost.model_io import load_model, save_model
+from delayboost.model_io import _plan_digest, load_model, save_model
 from delayboost.tree import TreeParams
 
 
@@ -120,6 +120,17 @@ class TestValidation:
         with pytest.raises(CorruptModelError):
             load_model(path)
 
+    def test_null_plan_is_corrupt(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["encoding_plan"] = None
+        doc["schema_digest"] = _plan_digest(None)  # so only the plan check can reject it
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModelError, match="carries no encoding plan"):
+            load_model(path)
+
     def test_not_a_model(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"hello": 1}')
@@ -164,16 +175,16 @@ PLAN = fit_encoding(generate_synthetic(40, 0.3, seed=0), one_hot=())
 
 @st.composite
 def _fit_inputs(draw):
-    with_plan = draw(st.booleans())
-    d = len(PLAN.output_names) if with_plan else draw(st.integers(1, 3))
+    fitted = draw(st.booleans())  # PLAN, or make_matrix's plan of continuous columns
+    d = len(PLAN.output_names) if fitted else draw(st.integers(1, 3))
     n = draw(st.integers(2, 30))
     element = st.one_of(st.integers(-3, 3).map(float), st.floats(-5.0, 5.0))
     X = draw(arrays(np.float64, (n, d), elements=element))
     y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
     y[:2] = [0, 1]  # both classes, so the log-odds prior is finite
     fm = make_matrix(X, y)
-    if with_plan:
-        fm = type(fm)(fm.values, fm.labels, PLAN.output_names, plan=PLAN)
+    if fitted:
+        fm = type(fm)(fm.values, fm.labels, PLAN)
     params = BoostParams(
         estimators=draw(st.integers(0, 5)),
         tree_params=TreeParams(max_depth=draw(st.integers(0, 4))),
@@ -190,7 +201,7 @@ class TestRoundTripProperty:
         path = tmp_path_factory.mktemp("model") / "model.json"
         save_model(model, path)
         again, _ = load_model(path)
-        assert (again.plan is None) == (fm.plan is None)
+        assert again.plan == fm.plan
         before = decision_function(model, fm.values)
         assert decision_function(again, fm.values).tobytes() == before.tobytes()
         assert np.array_equal(predict_label(again, fm.values), predict_label(model, fm.values))

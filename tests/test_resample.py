@@ -248,6 +248,7 @@ class TestReferenceProperty:
         fm, cfg = inputs
         out, trace = random_smote_with_trace(fm, cfg)
         values, labels, expected = reference_smote(fm, cfg)
+        assert out.plan is fm.plan and out.column_names == fm.plan.output_names
         assert out.values.flags.f_contiguous
         assert out.values.shape == values.shape
         assert out.values.tobytes() == values.tobytes()
