@@ -240,7 +240,7 @@ def cmd_corr(args):
         cells = [(np.array(result.names), str)] + [(column, repr) for column in result.matrix.T]
         dataset._write_records(args.out, ["", *result.names], cells, "\n")
     else:
-        width = max(len(n) for n in result.names)
+        width = max(7, *map(len, result.names))  # a value such as -0.0463 takes 7
         print(" " * width + "  " + "  ".join(n.rjust(width) for n in result.names))
         for name, row in zip(result.names, result.matrix):
             print(name.rjust(width) + "  "

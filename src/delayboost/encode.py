@@ -56,6 +56,7 @@ class EncodingPlan:
     values; a value's integer code is its position in that tuple.  Sorting is
     plain lexicographic over the raw text (which for UTF-8 equals byte
     order), so numeric-looking categories like "10" sort before "2".
+    DataError if two output columns, or one and the label, share a name.
     """
 
     feature_columns: tuple[Column, ...]
@@ -63,6 +64,13 @@ class EncodingPlan:
     one_hot: frozenset[str]
     label_name: str
     positive_label_value: str
+
+    def __post_init__(self):
+        names = (*self.output_names, self.label_name)
+        if len(set(names)) < len(names):
+            clash = next(n for i, n in enumerate(names) if n in names[:i])
+            raise DataError(f"column name {clash!r} is used twice among the encoded "
+                            f"columns and the label")
 
     @property
     def schema(self) -> Schema:
@@ -95,13 +103,30 @@ class EncodingPlan:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "EncodingPlan":
-        categories = {k: tuple(v) for k, v in doc["categories"].items()}
-        if any(list(v) != sorted(set(v)) for v in categories.values()):
-            raise ValueError("plan categories must be sorted and distinct")
+        """The plan of a `to_doc` document; ValueError unless `to_doc` could have written it.
+
+        `categories` holds one sorted list of distinct strings for each
+        categorical feature column and nothing else, and `one_hot` is a list
+        of categorical feature column names.  Clashing output names raise
+        DataError, as at construction.
+        """
+        feature_columns = tuple(Column(n, k) for n, k in doc["feature_columns"])
+        categorical = {c.name for c in feature_columns if c.kind == CATEGORICAL}
+        categories, one_hot = doc["categories"], doc["one_hot"]
+        if not isinstance(categories, dict) or categories.keys() != categorical:
+            raise ValueError("plan categories must have one entry for each categorical "
+                             "feature column and no other")
+        for name, values in categories.items():
+            if not (isinstance(values, list) and all(isinstance(v, str) for v in values)
+                    and values == sorted(set(values))):
+                raise ValueError(f"plan categories of {name!r} must be a sorted list "
+                                 f"of distinct strings")
+        if not isinstance(one_hot, list) or not set(one_hot) <= categorical:
+            raise ValueError("plan one_hot must be a list of categorical feature column names")
         plan = cls(
-            feature_columns=tuple(Column(n, k) for n, k in doc["feature_columns"]),
-            categories=categories,
-            one_hot=frozenset(doc["one_hot"]),
+            feature_columns=feature_columns,
+            categories={k: tuple(v) for k, v in categories.items()},
+            one_hot=frozenset(one_hot),
             label_name=doc["label_name"],
             positive_label_value=doc["positive_label_value"],
         )

@@ -17,7 +17,7 @@ import math
 
 from .boost import BoostedModel, BoostParams
 from .encode import EncodingPlan
-from .errors import CorruptModelError, ModelIOError, VersionMismatchError
+from .errors import CorruptModelError, DataError, ModelIOError, VersionMismatchError
 from .tree import RegressionTree, _json_int, _json_number
 
 FORMAT_VERSION = 1
@@ -48,12 +48,12 @@ def model_to_doc(model: BoostedModel, metadata: dict | None = None) -> dict:
 def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
     """Rebuild (model, metadata); validates structure, values, the plan digest and widths.
 
-    The plan is required, and its width is the model's and every tree's
-    `n_features`.  Scores must come out finite, so f0, every threshold and
-    every leaf value must be finite, and the learning rate must pass
-    `BoostParams`'s rule.  Integer fields must be JSON integers, as a float
-    would be truncated, and every other number a JSON number: text or a
-    boolean is not read as one.
+    The plan is required, must pass `EncodingPlan.from_doc`'s checks, and its
+    width is the model's and every tree's `n_features`.  Scores must come out
+    finite, so f0, every threshold and every leaf value must be finite, and
+    the learning rate must pass `BoostParams`'s rule.  Integer fields must be
+    JSON integers, as a float would be truncated, and every other number a
+    JSON number: text or a boolean is not read as one.
     """
     if not isinstance(doc, dict) or "format_version" not in doc:
         raise CorruptModelError("not a model document")
@@ -88,7 +88,7 @@ def model_from_doc(doc: dict) -> tuple[BoostedModel, dict]:
         if not isinstance(metadata, dict):
             raise CorruptModelError("metadata is not a JSON object")
         return model, metadata
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (DataError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise CorruptModelError(f"malformed model file: {exc}") from None
 
 

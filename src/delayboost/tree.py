@@ -226,9 +226,10 @@ def fit_tree(
     when not given.  The tree grows one level at a time, each level's split
     search taking one pass per presorted column, yet the result equals a
     recursive search that argsorts every column at every node, bit for bit.
-    Every node shallower than `max_depth` is searched, and `_scan` alone
-    applies the other split rules.  Nodes are numbered in preorder: a node,
-    its left subtree, its right subtree.
+    Every node shallower than `max_depth` is searched; `_best_splits` applies
+    the node rules (`min_samples_split`; a split must lower the SSE) and
+    `_scan` the boundary rule (`min_samples_leaf`).  Nodes are numbered in
+    preorder: a node, its left subtree, its right subtree.
 
     Raises:
         EmptyInputError: no rows.
@@ -310,11 +311,14 @@ def _best_splits(X, t, order, groups, params):
     For each feature, one stable sort of the node labels along the presorted
     column lays every group's rows out contiguously, each group sorted by
     value and then by row id: exactly its own stable argsort.  So every sum
-    and every tie matches a search that sorts each node on its own.  Features
-    are scanned in index order and a later one must be strictly better, so
-    ties break to the lowest feature, then the lowest threshold.  A group gets
-    None when `_scan` rejects every feature; its no-gain rule is the same for
-    all of them, so it rejects either the overall best split or none of them.
+    and every tie matches a search that sorts each node on its own.  `_scan`
+    fills a (feature, group) table of SSEs, and one of thresholds, for the
+    groups of at least `min_samples_split` rows; other cells stay +inf.
+    `argmin(axis=0)` takes each group's first minimum, so ties break to the
+    lowest feature, then the lowest threshold.  A group splits only if that
+    minimum is below its own SSE beyond numeric noise.  The bound is the
+    group's, the same for every feature, so a search that checked each
+    feature's best in turn would reject all of them or keep the same one.
     """
     if not groups:
         return []
@@ -324,54 +328,49 @@ def _best_splits(X, t, order, groups, params):
     for k, rows in enumerate(groups):
         label[rows] = k
     bounds = np.cumsum([0] + [rows.size for rows in groups])
-    sums = [(ti.sum(), (ti * ti).sum()) for ti in (t[rows] for rows in groups)]
+    total, total_sq = np.array([(ti.sum(), (ti * ti).sum())
+                                for ti in (t[rows] for rows in groups)]).T
+    scanned = np.flatnonzero(np.diff(bounds) >= params.min_samples_split).tolist()
 
-    best_sse, best = [np.inf] * n_groups, [None] * n_groups
+    sse, threshold = np.full((2, X.shape[1], n_groups), np.inf)
     for f in range(X.shape[1]):
         column = order[f].astype(np.intp)  # an int32 index is cast at every take
         grouped = column.take(np.argsort(label.take(column), kind="stable")[: bounds[-1]])
-        xs = X[:, f][grouped]
-        ts = t.take(grouped)
-        for k, (total, total_sq) in enumerate(sums):
+        xs, ts = X[:, f][grouped], t.take(grouped)
+        for k in scanned:
             lo, hi = bounds[k], bounds[k + 1]
-            found = _scan(xs[lo:hi], ts[lo:hi], total, total_sq, params)
-            if found is not None and found[0] < best_sse[k]:
-                best_sse[k] = found[0]
-                best[k] = (f, found[1])
-    return best
+            sse[f, k], threshold[f, k] = _scan(
+                xs[lo:hi], ts[lo:hi], total[k], total_sq[k], params.min_samples_leaf)
+    feature = sse.argmin(axis=0)
+    parent = total_sq - total * total / np.diff(bounds)
+    splits = sse[feature, np.arange(n_groups)] < parent - 1e-12 * np.maximum(parent, 1.0)
+    return [(int(f), threshold[f, k]) if split else None
+            for k, (f, split) in enumerate(zip(feature, splits))]
 
 
-def _scan(xs_sorted, ts_sorted, total, total_sq, params):
-    """(sse, threshold) of the best midpoint of one node's sorted column, or None.
+def _scan(xs, ts, total, total_sq, min_samples_leaf):
+    """(sse, threshold) of the best midpoint of one node's sorted column.
 
-    The one place a split is accepted: None when the node has fewer than
-    `min_samples_split` rows, when no boundary leaves `min_samples_leaf` rows
-    on each side, or when no SSE is below the node's own beyond numeric noise.
+    Only boundaries that leave `min_samples_leaf` rows on each side count,
+    and (+inf, NaN) means there is none.  Ties break to the lowest threshold.
     """
-    n = xs_sorted.size
-    if n < params.min_samples_split:
-        return None
-    boundaries = np.flatnonzero(xs_sorted[1:] != xs_sorted[:-1]) + 1
-    leaf = params.min_samples_leaf
-    boundaries = boundaries[(boundaries >= leaf) & (n - boundaries >= leaf)]
+    n = xs.size
+    boundaries = np.flatnonzero(xs[1:] != xs[:-1]) + 1
+    boundaries = boundaries[(boundaries >= min_samples_leaf) & (n - boundaries >= min_samples_leaf)]
     if boundaries.size == 0:
-        return None
-    cum = np.cumsum(ts_sorted)
-    cum_sq = np.cumsum(ts_sorted * ts_sorted)
-    left_n = boundaries
+        return np.inf, np.nan
+    cum = np.cumsum(ts)
+    cum_sq = np.cumsum(ts * ts)
     left_sum = cum[boundaries - 1]
     left_sq = cum_sq[boundaries - 1]
-    right_n = n - left_n
+    right_n = n - boundaries
     right_sum = total - left_sum
     right_sq = total_sq - left_sq
-    sse = (left_sq - left_sum * left_sum / left_n) + (
+    sse = (left_sq - left_sum * left_sum / boundaries) + (
         right_sq - right_sum * right_sum / right_n
     )
     j = int(np.argmin(sse))  # first minimum = lowest threshold
-    parent = total_sq - total * total / n
-    if sse[j] >= parent - 1e-12 * max(parent, 1.0):
-        return None
-    lo, hi = xs_sorted[boundaries[j] - 1], xs_sorted[boundaries[j]]
+    lo, hi = xs[boundaries[j] - 1], xs[boundaries[j]]
     mid = (lo + hi) / 2.0
     # Between adjacent doubles the midpoint can round up to hi (or overflow),
     # which would send hi left; lo splits the same rows.

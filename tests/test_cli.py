@@ -240,6 +240,19 @@ class TestPipeline:
         assert rows[0] == ["", "Dep\rTime", "Arr", "Late"]
         assert [row[0] for row in rows[1:]] == ["Dep\rTime", "Arr", "Late"]
 
+    def test_corr_table_is_aligned_for_short_names(self, tmp_path, capsys):
+        # every name is shorter than a value such as -0.0463
+        rows = [f"{i},{i * i % 7},{int(i % 3 == 0)}" for i in range(8)]
+        (tmp_path / "data.csv").write_text("a,Month,y\n" + "\n".join(rows) + "\n")
+        schema = db.Schema((db.Column("a", "continuous"), db.Column("Month", "continuous"),
+                            db.Column("y", "label")), "1")
+        (tmp_path / "schema.json").write_text(schema.to_json())
+        assert run("corr", "--input", tmp_path / "data.csv",
+                   "--schema", tmp_path / "schema.json") == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4 and "-" in lines[-1]  # a negative value is in the table
+        assert {len(line) for line in lines} == {len(lines[0])}, lines
+
     def test_train_records_the_timestamp(self, workspace):
         assert run(*train_args(workspace, **{"--timestamp": "2019-06-01T00:00:00"})) == 0
         _, metadata = db.load_model(workspace / "model.json")
@@ -431,6 +444,20 @@ class TestExitCodes:
         bad.write_text(json.dumps(doc))
         code, err = run_quietly("evaluate", "--model", bad, "--input", data)
         assert code == 3 and len(err) == 1 and message in err[0], err
+
+    def test_one_hot_name_clash_is_3(self, tmp_path):
+        # one-hot A writes "A=x", which the continuous column A=x already names
+        (tmp_path / "data.csv").write_text("A,A=x,y\nx,1.5,1\nz,2.5,0\nx,0.5,0\nz,3.0,1\n")
+        schema = db.Schema((db.Column("A", "categorical"), db.Column("A=x", "continuous"),
+                            db.Column("y", "label")), "1")
+        (tmp_path / "schema.json").write_text(schema.to_json())
+        out = tmp_path / "balanced.csv"
+        code, err = run_quietly("balance", "--input", tmp_path / "data.csv",
+                                "--schema", tmp_path / "schema.json", "--one-hot", "A",
+                                "--smote-percent", 0, "--out", out)
+        assert code == 3 and err == [
+            "error: column name 'A=x' is used twice among the encoded columns and the label"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("path, value", [
         (("trees", 0, "feature", 0), 5.5),

@@ -135,6 +135,47 @@ class TestFitEncoding:
             EncodingPlan.from_doc(doc)
 
 
+class TestPlanDoc:
+    """`EncodingPlan.from_doc` takes only a plan that `to_doc` could have written."""
+
+    @pytest.mark.parametrize("tamper, problem", [
+        (lambda doc: doc["categories"].pop("carrier"), "one entry for each categorical"),
+        (lambda doc: doc["categories"].update(dep=["1.0"]), "one entry for each categorical"),
+        (lambda doc: doc["categories"].update(carrier=[1, 2]),
+         "'carrier' must be a sorted list of distinct strings"),
+        (lambda doc: doc["categories"].update(carrier="AU"),
+         "'carrier' must be a sorted list of distinct strings"),
+        (lambda doc: doc["one_hot"].append("bogus"), "list of categorical feature column names"),
+        (lambda doc: doc["one_hot"].append("dep"), "list of categorical feature column names"),
+        (lambda doc: doc.update(one_hot="airport"), "list of categorical feature column names"),
+    ], ids=["no-carrier", "continuous-entry", "numbers", "string", "unknown-one-hot",
+            "continuous-one-hot", "one-hot-string"])
+    def test_malformed_plan(self, tamper, problem):
+        doc = fit_encoding(BASE, one_hot=("airport",)).to_doc()
+        tamper(doc)
+        with pytest.raises(ValueError, match=problem):
+            EncodingPlan.from_doc(doc)
+
+    @pytest.mark.parametrize("name", ["airport=b", "y"])
+    def test_clashing_names(self, name):
+        doc = fit_encoding(BASE, one_hot=("airport",)).to_doc()
+        doc["feature_columns"] = [[name if n == "dep" else n, k] for n, k in doc["feature_columns"]]
+        with pytest.raises(DataError, match=f"column name {name!r} is used twice"):
+            EncodingPlan.from_doc(doc)
+
+    @pytest.mark.parametrize("columns", [
+        (Column("A", CATEGORICAL), Column("A=x", CONTINUOUS), Column("y", LABEL)),
+        (Column("A", CATEGORICAL), Column("A=x", LABEL)),
+    ], ids=["continuous", "label"])
+    def test_fit_encoding_rejects_a_one_hot_name_clash(self, columns):
+        # one-hot A makes the column "A=x", which the schema already names
+        cells = {CATEGORICAL: ("x", "z"), CONTINUOUS: (1.0, 2.0), LABEL: ("1", "0")}
+        ds = Dataset(Schema(columns, "1"), tuple(cells[c.kind] for c in columns))
+        fit_encoding(ds, one_hot=())  # no clash while A is integer-coded
+        with pytest.raises(DataError, match="column name 'A=x' is used twice"):
+            fit_encoding(ds, one_hot=("A",))
+
+
 class TestApplyEncoding:
     def test_one_hot_group_sums_to_one(self):
         plan = fit_encoding(BASE, one_hot=("airport",))

@@ -169,6 +169,35 @@ class TestValidation:
         assert len(err) == 1 and err[0].startswith("error:")
 
 
+def _clashing_name(plan):
+    """Rename the first continuous feature column to an output column of a one-hot one."""
+    column = next(c for c in plan["feature_columns"] if c[1] == "continuous")
+    column[0] = f"Origin_Airport_ID={plan['categories']['Origin_Airport_ID'][0]}"
+
+
+class TestMalformedPlan:
+    @pytest.mark.parametrize("tamper, problem", [
+        (lambda plan: plan["categories"].pop("Month"), "one entry for each categorical"),
+        (lambda plan: plan["categories"].update(Month=[1, 2]),
+         "'Month' must be a sorted list of distinct strings"),
+        (lambda plan: plan["one_hot"].append("Bogus"), "list of categorical feature column names"),
+        (lambda plan: plan.update(one_hot="Month"), "list of categorical feature column names"),
+        (_clashing_name, "column name 'Origin_Airport_ID=.*' is used twice"),
+    ], ids=["no-month", "numbers", "unknown-one-hot", "one-hot-string", "name-clash"])
+    def test_is_corrupt(self, cli_model, tmp_path, capsys, tamper, problem):
+        model, data = cli_model
+        doc = json.loads(model.read_text())
+        tamper(doc["encoding_plan"])
+        doc["schema_digest"] = _plan_digest(doc["encoding_plan"])  # only the plan's checks apply
+        bad = tmp_path / "model.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(CorruptModelError, match=problem):
+            load_model(bad)
+        assert main(["evaluate", "--model", str(bad), "--input", str(data)]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: malformed model file: ")
+
+
 # A plan whose output width (one column per feature) fixes the matrix width.
 PLAN = fit_encoding(generate_synthetic(40, 0.3, seed=0), one_hot=())
 
