@@ -62,6 +62,48 @@ def reference_smote(fm, cfg):
     return values, labels, trace
 
 
+def reference_draws(seed, m, k):
+    """The contract's draws, one minority row at a time, with each irregular row's cause.
+
+    Returns (firsts, seconds, draws, irregular, end_state).  `irregular` maps
+    a row to its (rejections, redraws): the index draws' Lemire rejections
+    (32-bit halves read beyond one per draw, counted from the generator's
+    state, not from the rejection rule) and the times b was drawn again
+    because it equalled a.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    bg = rng.bit_generator
+    probe = np.random.PCG64(0)
+
+    def draw(pos):
+        before = bg.state
+        c = resample._draw_excluding(rng, m, pos)
+        after = bg.state
+        probe.state, words = before, 0
+        while probe.state["state"] != after["state"]:
+            assert words < 8, "one index draw read 8 words"
+            probe.advance(1)
+            words += 1
+        return c, 2 * words + before["has_uint32"] - after["has_uint32"] - 1
+
+    firsts = np.empty(m, dtype=np.int64)
+    seconds = np.empty(m, dtype=np.int64)
+    draws = np.empty((m, 2 * k))
+    irregular = {}
+    for pos in range(m):
+        a, rejected_a = draw(pos)
+        b, rejected_b = draw(pos)
+        rejections, redraws = rejected_a + rejected_b, 0
+        while b == a:
+            b, rejected_b = draw(pos)
+            rejections, redraws = rejections + rejected_b, redraws + 1
+        if rejections or redraws:
+            irregular[pos] = (rejections, redraws)
+        firsts[pos], seconds[pos] = a, b
+        draws[pos] = rng.random(2 * k)
+    return firsts, seconds, draws, irregular, bg.state
+
+
 def imbalanced(n_min=5, n_maj=12, n_features=3, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n_min + n_maj, n_features))
@@ -272,3 +314,49 @@ class TestReferenceProperty:
         assert out.values.tobytes() == values.tobytes()
         for name in TRACE_FIELDS:
             assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes()
+
+
+def assert_matches_reference(fm, cfg):
+    out, trace = random_smote_with_trace(fm, cfg)
+    values, labels, expected = reference_smote(fm, cfg)
+    assert out.values.tobytes() == values.tobytes()
+    assert out.labels.tobytes() == labels.tobytes()
+    for name in TRACE_FIELDS:
+        got, want = getattr(trace, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+
+class TestRawWordDraws:
+    """`_draws` reads PCG64's raw words a chunk at a time; these reach its irregular rows."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [3, 4, 5, 7, 50, 1000])
+    def test_equals_the_row_at_a_time_draws(self, m, k):
+        for seed in range(4):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            got = resample._draws(rng, m, k)
+            *want, _, end_state = reference_draws(seed, m, k)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+            assert rng.bit_generator.state == end_state
+
+    def test_chunks_after_a_redraw_read_the_cached_half(self):
+        # Seed 0 redraws b once in the first chunk, which leaves PCG64 holding a
+        # 32-bit half.  The next chunk is whole and takes every a from a cached
+        # half; the chunk after it starts from the half written back.
+        chunk, m, k = resample._CHUNK_ROWS, 20000, 2
+        cfg = SmoteConfig(100 * k, seed=0)
+        *_, irregular, _ = reference_draws(cfg.seed, m, k)
+        first, *later = sorted(irregular)
+        assert first < chunk and irregular[first] == (0, 1)
+        assert first + chunk + 1 < min(later + [m])
+        assert_matches_reference(imbalanced(n_min=m, n_maj=m, n_features=1), cfg)
+
+    def test_lemire_rejection(self):
+        # At m = 59,723 the rejection bound (2**32 - (m-1)) % (m-1) is 59,666,
+        # so about one index draw in 72,000 is rejected.
+        m = 59723
+        cfg = SmoteConfig(100, seed=0)
+        *_, irregular, _ = reference_draws(cfg.seed, m, cfg.k)
+        assert any(rejections for rejections, _ in irregular.values())
+        assert_matches_reference(imbalanced(n_min=m, n_maj=m, n_features=1), cfg)
