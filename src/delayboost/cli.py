@@ -87,6 +87,8 @@ def _check_flags(args):
     """
     if getattr(args, "threads", 1) < 1:
         raise ValueError("threads must be >= 1")
+    if getattr(args, "seed", 0) < 0:
+        raise ValueError("seed must be >= 0")
     boost.label_scores((), getattr(args, "threshold", 0.5))
     if args.command == "synth":
         dataset._check_synthetic_spec(args.rows, args.positive_frac)

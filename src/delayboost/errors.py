@@ -111,6 +111,10 @@ class SingleClassInputError(DataError):
     """ROC analysis requires both classes to be present."""
 
 
+class NonFiniteScoreError(DataError):
+    """ROC scores contain NaN or infinity."""
+
+
 # tune
 class ClassTooSmallForFoldsError(DataError):
     """A class has fewer rows than the requested number of folds."""

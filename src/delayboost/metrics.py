@@ -5,7 +5,8 @@ and precision = TP / (TP + FP), with F1 their harmonic mean.  Because
 accuracy on imbalanced data equals the support-weighted recall, the summary
 also carries support-weighted recall/precision/F1 so both readings of a
 result table are available.  Zero-denominator metrics come back as 0 and the
-metric's name is listed in `degenerate` instead of raising.
+metric's name is listed in `degenerate` instead of raising.  Labels and
+predictions other than 0 or 1, and NaN or infinite ROC scores, do raise.
 
 ROC curves sweep thresholds over the distinct raw decision-function scores
 from high to low, predicting positive where score >= threshold; tied scores
@@ -22,7 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import LengthMismatchError, SingleClassInputError
+from .errors import (
+    LengthMismatchError,
+    NonFiniteScoreError,
+    SingleClassInputError,
+    UnrecognizedLabelValueError,
+)
 
 
 @dataclass(frozen=True)
@@ -69,13 +75,20 @@ class RocCurve:
 
 
 def confusion(y_true, y_pred) -> ConfusionMatrix:
-    """Count tp, fn, fp, tn from paired binary vectors."""
+    """Count tp, fn, fp, tn from paired binary vectors.
+
+    Raises:
+        LengthMismatchError: unequal or zero input lengths.
+        UnrecognizedLabelValueError: a label or prediction other than 0 or 1.
+    """
     t = np.asarray(y_true).ravel()
     p = np.asarray(y_pred).ravel()
     if t.size != p.size:
         raise LengthMismatchError(f"{t.size} labels vs {p.size} predictions")
     if t.size == 0:
         raise LengthMismatchError("need at least one sample")
+    _check_binary("label", t)
+    _check_binary("prediction", p)
     return ConfusionMatrix(
         tp=int(((t == 1) & (p == 1)).sum()),
         fn=int(((t == 1) & (p == 0)).sum()),
@@ -167,12 +180,17 @@ def roc_auc(y_true, scores) -> RocCurve:
 
     Raises:
         LengthMismatchError: unequal input lengths.
+        UnrecognizedLabelValueError: a label other than 0 or 1.
+        NonFiniteScoreError: a NaN or infinite score.
         SingleClassInputError: only one class present in y_true.
     """
     y = np.asarray(y_true).ravel()
     s = np.asarray(scores, dtype=np.float64).ravel()
     if y.size != s.size:
         raise LengthMismatchError(f"{y.size} labels vs {s.size} scores")
+    _check_binary("label", y)
+    if not np.isfinite(s).all():
+        raise NonFiniteScoreError("scores contain NaN or infinity")
     n_pos = int((y == 1).sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -193,3 +211,9 @@ def roc_auc(y_true, scores) -> RocCurve:
     for a in (fpr, tpr, thresholds):
         a.flags.writeable = False
     return RocCurve(fpr, tpr, thresholds, auroc=float(np.trapezoid(tpr, fpr)))
+
+
+def _check_binary(what: str, values: np.ndarray) -> None:
+    bad = values[(values != 0) & (values != 1)]
+    if bad.size:
+        raise UnrecognizedLabelValueError(f"{what} {bad[0].item()!r} is neither 0 nor 1")

@@ -18,33 +18,17 @@ values.  A one-hot group's sum survives the affine combination only up to
 float rounding; the exact row-sum-of-1 invariant holds just for original
 rows.
 
-RNG contract (NumPy PCG64 seeded with the config seed): minority rows are
-visited in their row order; for each, draw a, then draw b redrawing while
-b == a, then for j = 1..k draw t_j then u_j.  Index draws exclude the current
-row by sampling an integer c in [0, m-1) and skipping over the row's own
-position (a = c if c < position else c + 1).  This fixed sequential order
-makes the output a pure function of (matrix, config).
-
-`_draws` makes these draws in bulk from PCG64's raw 64-bit words; the
-draw order above is unchanged, and so is every output bit.  `integers`
-draws each c with Lemire's method from one 32-bit half of a word, low half
-first, caching the high half for the next 32-bit draw; `random` makes each
-t or u from one whole word as (word >> 11) * 2**-53.  So a minority row
-reads 1 + 2k words of `bit_generator.random_raw`, which are fetched for up
-to `_CHUNK_ROWS` rows at a time.  Each c is (half * (m - 1)) >> 32.  With
-no half cached, a's and b's halves are the low and high halves of the
-row's first word.  With one cached (after an odd number of 32-bit draws),
-a's half is the cached one, which is the previous row's high half, b's is
-the low half of the row's first word, and its high half stays cached;
-after each chunk the last one is written back into the generator's state.
-The row's other 2k words give t_1, u_1, ..., t_k, u_k.
-
-A row is irregular when a draw is rejected ((half * (m - 1)) & 0xFFFFFFFF
-< (2**32 - (m - 1)) % (m - 1)) or when a == b.  At the first irregular row
-of a chunk, the generator is reset to the chunk's start and advanced past
-the regular rows, that one row is drawn by the scalar `_draw_row`, and the
-next chunk starts after it.  The generator ends in the state that drawing
-every row with `_draw_row` leaves.
+RNG contract, on the raw 64-bit words of NumPy's PCG64 seeded with the
+config seed (`bit_generator.random_raw`, which NEP 19 keeps stable): one
+block of m * (1 + 2k) words is read, 1 + 2k words per minority row in row
+order.  A row's source positions a and b come from the low and high 32-bit
+halves of its first word, each a Lemire draw c = (half * (m - 1)) >> 32
+that skips the row's own position (c + (c >= position)).  Its other 2k
+words give t_1, u_1, ..., t_k, u_k, each (word >> 11) * 2**-53.  A row is
+irregular when a half is rejected ((half * (m - 1)) & 0xFFFFFFFF <
+(2**32 - (m - 1)) % (m - 1)) or when a == b.  Irregular rows are redrawn
+in row order, each try taking its pair from the next single word after
+the block, until the pair is regular; their t and u stay as drawn.
 
 The draws are recorded as the `SmoteTrace`.  `synthesize_point` then
 interpolates one column at a time, each written straight into its column
@@ -61,9 +45,6 @@ import numpy as np
 
 from .encode import FeatureMatrix
 from .errors import InvalidPercentError, MinorityTooSmallError
-
-# Minority rows whose raw words `_draws` reads at a time (1 + 2k words a row).
-_CHUNK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -135,8 +116,7 @@ def random_smote_with_trace(fm: FeatureMatrix, cfg: SmoteConfig):
     if m < 3:
         raise MinorityTooSmallError(f"minority class has {m} rows, need at least 3")
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    firsts, seconds, draws = _draws(rng, m, k)
+    firsts, seconds, draws = _draws(np.random.PCG64(cfg.seed), m, k)
     trace = SmoteTrace(
         seed_row=np.repeat(minority_idx, k),
         first=np.repeat(minority_idx[firsts], k),
@@ -163,58 +143,28 @@ def _minority_label(labels: np.ndarray) -> int:
     return 1 if ones <= zeros else 0
 
 
-def _draws(rng, m: int, k: int):
-    """Every minority row's draws, in the contract's order, from raw words.
+def _draws(bit_generator, m: int, k: int):
+    """Every minority row's draws, by the RNG contract, from `bit_generator`.
 
     Returns (firsts, seconds, draws): each row's a and b, positions in
-    [0, m), and its (m, 2k) t and u draws, interleaved.  They, and the
-    state `rng` is left in, equal those of calling `_draw_row` for every row.
+    [0, m), and its (m, 2k) t and u draws, interleaved.
     """
-    bg = rng.bit_generator
-    span = m - 1
+    words = bit_generator.random_raw(m * (1 + 2 * k)).reshape(m, 1 + 2 * k)
+    firsts, seconds, irregular = _pairs(words[:, 0], np.arange(m), m - 1)
+    for row in np.flatnonzero(irregular):
+        one = slice(row, row + 1)
+        while irregular[row]:
+            firsts[one], seconds[one], irregular[one] = _pairs(
+                bit_generator.random_raw(1), row, m - 1)
+    return firsts, seconds, (words[:, 1:] >> 11) * 2.0**-53
+
+
+def _pairs(words, position, span: int):
+    """(a, b, irregular) of each word: Lemire draws c in [0, span) from its
+    low and high halves, each then skipping `position`, and whether either
+    half is rejected or a == b."""
     threshold = (2**32 - span) % span
-    width = 1 + 2 * k
-    firsts = np.empty(m, dtype=np.int64)
-    seconds = np.empty(m, dtype=np.int64)
-    draws = np.empty((m, 2 * k))
-    pos = 0
-    while pos < m:
-        rows = min(_CHUNK_ROWS, m - pos)
-        state = bg.state
-        words = bg.random_raw(rows * width).reshape(rows, width)
-        low, high = words[:, 0] & 0xFFFFFFFF, words[:, 0] >> 32
-        # halves[i]: the 32-bit half PCG64 holds, cached or spent, as row i starts
-        halves = np.concatenate((np.array([state["uinteger"]], dtype=np.uint64), high))
-        a_half, b_half = (halves[:-1], low) if state["has_uint32"] else (low, high)
-        pa, pb = a_half * span, b_half * span
-        ca, cb = (pa >> 32).astype(np.int64), (pb >> 32).astype(np.int64)
-        irregular = ((pa & 0xFFFFFFFF) < threshold) | ((pb & 0xFFFFFFFF) < threshold) | (ca == cb)
-        done = int(irregular.argmax()) if irregular.any() else rows
-        here = np.arange(pos, pos + done)
-        firsts[pos : pos + done] = ca[:done] + (ca[:done] >= here)
-        seconds[pos : pos + done] = cb[:done] + (cb[:done] >= here)
-        np.multiply(words[:done, 1:] >> 11, 2.0**-53, out=draws[pos : pos + done])
-        if done < rows:
-            bg.state = state
-            bg.advance(done * width)
-        after = bg.state
-        after["has_uint32"], after["uinteger"] = state["has_uint32"], int(halves[done])
-        bg.state = after
-        pos += done
-        if done < rows:
-            firsts[pos], seconds[pos], draws[pos] = _draw_row(rng, m, pos, k)
-            pos += 1
-    return firsts, seconds, draws
-
-
-def _draw_row(rng, m: int, pos: int, k: int):
-    a = _draw_excluding(rng, m, pos)
-    b = _draw_excluding(rng, m, pos)
-    while b == a:
-        b = _draw_excluding(rng, m, pos)
-    return a, b, rng.random(2 * k)
-
-
-def _draw_excluding(rng, m: int, skip: int) -> int:
-    c = int(rng.integers(0, m - 1))
-    return c if c < skip else c + 1
+    low, high = (words & 0xFFFFFFFF) * span, (words >> 32) * span
+    rejected = ((low & 0xFFFFFFFF) < threshold) | ((high & 0xFFFFFFFF) < threshold)
+    a, b = (low >> 32).astype(np.int64), (high >> 32).astype(np.int64)
+    return a + (a >= position), b + (b >= position), rejected | (a == b)

@@ -596,6 +596,10 @@ class TestExitCodes:
         ("train", "--smote-percent", 150),
         ("balance", "--smote-percent", -100),
         ("train", "--threads", 0),
+        ("synth", "--seed", -1),
+        ("balance", "--seed", -1),
+        ("train", "--seed", -1),
+        ("tune", "--seed", -1),
     ])
     def test_flag_out_of_range_is_2(self, workspace, capsys, command, flag, value):
         out = workspace / "out.csv"

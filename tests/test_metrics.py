@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from delayboost.errors import LengthMismatchError, SingleClassInputError
+from delayboost.errors import (
+    LengthMismatchError,
+    NonFiniteScoreError,
+    SingleClassInputError,
+    UnrecognizedLabelValueError,
+)
 from delayboost.metrics import (
     ConfusionMatrix,
     confusion,
@@ -47,6 +52,15 @@ class TestConfusion:
             confusion([1, 0], [1])
         with pytest.raises(LengthMismatchError):
             confusion([], [])
+
+    def test_labels_outside_0_1_rejected(self):
+        # counted, the 2 fell in no cell: a total of 3 for 4 rows
+        with pytest.raises(UnrecognizedLabelValueError, match="label 2 is neither"):
+            confusion([1, 0, 2, 0], [1, 0, 1, 0])
+        with pytest.raises(UnrecognizedLabelValueError, match="prediction -1 is neither"):
+            confusion([1, 0, 1, 0], [1, 0, -1, 0])
+        with pytest.raises(UnrecognizedLabelValueError, match="prediction nan"):
+            confusion([1.0, 0.0], [np.nan, 0.0])
 
 
 class TestSummarize:
@@ -145,6 +159,17 @@ class TestRoc:
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             roc_auc([1, 0], [0.5])
+
+    def test_labels_outside_0_1_rejected(self):
+        # the 2 counted as a negative but never as a false positive: fpr stopped at 2/3
+        with pytest.raises(UnrecognizedLabelValueError, match="label 2 is neither"):
+            roc_auc([1, 0, 2, 0], [0.9, 0.1, 0.5, 0.3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        # a NaN has no place in the threshold sweep, yet it gave an AUROC (here 0.5)
+        with pytest.raises(NonFiniteScoreError):
+            roc_auc([1, 0, 1, 0], [bad, 0.1, 0.5, 0.3])
 
     def test_csv_export(self):
         curve = roc_auc([0, 1], [0.2, 0.9])

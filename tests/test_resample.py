@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,16 +21,16 @@ TRACE_FIELDS = ("seed_row", "first", "second", "t", "u")
 
 
 def reference_smote(fm, cfg):
-    """SMOTE one minority row at a time: draws and arithmetic in one loop.
+    """SMOTE one minority row at a time: `reference_draws`, then the arithmetic.
 
-    The straightforward form of the RNG contract that `random_smote_with_trace`
+    The straightforward form of the contract that `random_smote_with_trace`
     must reproduce bit for bit.  Returns (values, labels, trace).
     """
     k = cfg.k
     minority_label = resample._minority_label(fm.labels)
     minority_idx = np.flatnonzero(fm.labels == minority_label)
     m = minority_idx.size
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    row_firsts, row_seconds, row_draws, *_ = reference_draws(cfg.seed, m, k)
     minority = fm.values[minority_idx]
 
     synth = np.empty((m * k, fm.values.shape[1]), dtype=np.float64)
@@ -40,11 +42,8 @@ def reference_smote(fm, cfg):
 
     row = 0
     for pos in range(m):
-        a = resample._draw_excluding(rng, m, pos)
-        b = resample._draw_excluding(rng, m, pos)
-        while b == a:
-            b = resample._draw_excluding(rng, m, pos)
-        draws = rng.random(2 * k).reshape(k, 2)
+        a, b = row_firsts[pos], row_seconds[pos]
+        draws = row_draws[pos].reshape(k, 2)
         t, u = draws[:, 0], draws[:, 1]
         x_i, x_a, x_b = minority[pos], minority[a], minority[b]
         y = x_a + t[:, None] * (x_b - x_a)
@@ -63,45 +62,44 @@ def reference_smote(fm, cfg):
 
 
 def reference_draws(seed, m, k):
-    """The contract's draws, one minority row at a time, with each irregular row's cause.
+    """The RNG contract, one minority row at a time, in plain Python ints.
+
+    PCG64(seed) gives one block of m * (1 + 2k) raw words, a row of 1 + 2k
+    per minority row.  A row's a and b are Lemire draws from the low and high
+    halves of its first word, each skipping the row's position; its t and u
+    are its other words over 2**64, to 53 bits.  An irregular row (a half
+    rejected, or a == b) tries the next word after the block, then the next,
+    until its pair is regular.
 
     Returns (firsts, seconds, draws, irregular, end_state).  `irregular` maps
-    a row to its (rejections, redraws): the index draws' Lemire rejections
-    (32-bit halves read beyond one per draw, counted from the generator's
-    state, not from the rejection rule) and the times b was drawn again
-    because it equalled a.
+    each irregular row to the causes of its failed tries, in order:
+    "rejected" or "a == b".
     """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    bg = rng.bit_generator
-    probe = np.random.PCG64(0)
+    bg = np.random.PCG64(seed)
+    span, width = m - 1, 1 + 2 * k
+    bound = (2**32 - span) % span
+    block = bg.random_raw(m * width).tolist()
 
-    def draw(pos):
-        before = bg.state
-        c = resample._draw_excluding(rng, m, pos)
-        after = bg.state
-        probe.state, words = before, 0
-        while probe.state["state"] != after["state"]:
-            assert words < 8, "one index draw read 8 words"
-            probe.advance(1)
-            words += 1
-        return c, 2 * words + before["has_uint32"] - after["has_uint32"] - 1
+    def pair(word, pos):
+        """(a, b), or why the word gives no pair."""
+        products = [half * span for half in (word % 2**32, word // 2**32)]
+        if any(p % 2**32 < bound for p in products):
+            return "rejected"
+        a, b = (p // 2**32 + (p // 2**32 >= pos) for p in products)
+        return "a == b" if a == b else (a, b)
 
-    firsts = np.empty(m, dtype=np.int64)
-    seconds = np.empty(m, dtype=np.int64)
-    draws = np.empty((m, 2 * k))
-    irregular = {}
+    firsts, seconds, draws, irregular = [], [], [], {}
     for pos in range(m):
-        a, rejected_a = draw(pos)
-        b, rejected_b = draw(pos)
-        rejections, redraws = rejected_a + rejected_b, 0
-        while b == a:
-            b, rejected_b = draw(pos)
-            rejections, redraws = rejections + rejected_b, redraws + 1
-        if rejections or redraws:
-            irregular[pos] = (rejections, redraws)
-        firsts[pos], seconds[pos] = a, b
-        draws[pos] = rng.random(2 * k)
-    return firsts, seconds, draws, irregular, bg.state
+        row = block[pos * width : (pos + 1) * width]
+        got = pair(row[0], pos)
+        while isinstance(got, str):
+            irregular.setdefault(pos, []).append(got)
+            got = pair(bg.random_raw(), pos)
+        firsts.append(got[0])
+        seconds.append(got[1])
+        draws.append([(word // 2**11) / 2**53 for word in row[1:]])
+    return (np.array(firsts, dtype=np.int64), np.array(seconds, dtype=np.int64),
+            np.array(draws).reshape(m, 2 * k), irregular, bg.state)
 
 
 def imbalanced(n_min=5, n_maj=12, n_features=3, seed=0):
@@ -299,21 +297,13 @@ class TestReferenceProperty:
             got, want = getattr(trace, name), getattr(expected, name)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
-    def test_three_minority_rows_redraw_b(self, monkeypatch):
-        # With m = 3, b equals a half the time, so b is redrawn.
+    def test_three_minority_rows_redraw_b(self):
+        # With m = 3, a equals b half the time, so rows take words after the block.
         fm = imbalanced(n_min=3, n_maj=5, n_features=2, seed=4)
         cfg = SmoteConfig(400, seed=2)
-        calls = []
-        draw = resample._draw_excluding
-        monkeypatch.setattr(resample, "_draw_excluding",
-                            lambda *args: calls.append(args) or draw(*args))
-        out, trace = random_smote_with_trace(fm, cfg)
-        monkeypatch.undo()
-        assert len(calls) > 2 * 3
-        values, labels, expected = reference_smote(fm, cfg)
-        assert out.values.tobytes() == values.tobytes()
-        for name in TRACE_FIELDS:
-            assert getattr(trace, name).tobytes() == getattr(expected, name).tobytes()
+        *_, irregular, _ = reference_draws(cfg.seed, 3, cfg.k)
+        assert "a == b" in sum(irregular.values(), [])
+        assert_matches_reference(fm, cfg)
 
 
 def assert_matches_reference(fm, cfg):
@@ -326,31 +316,27 @@ def assert_matches_reference(fm, cfg):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
+def draws_digest(seed, m, k):
+    """SHA-256 of `_draws`' (firsts, seconds, draws), little-endian, in that order."""
+    digest = hashlib.sha256()
+    for a in resample._draws(np.random.PCG64(seed), m, k):
+        digest.update(a.astype(a.dtype.newbyteorder("<")).tobytes())
+    return digest.hexdigest()
+
+
 class TestRawWordDraws:
-    """`_draws` reads PCG64's raw words a chunk at a time; these reach its irregular rows."""
+    """`_draws` reads one block of PCG64's raw words, then one word per retried pair."""
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     @pytest.mark.parametrize("m", [3, 4, 5, 7, 50, 1000])
     def test_equals_the_row_at_a_time_draws(self, m, k):
         for seed in range(4):
-            rng = np.random.Generator(np.random.PCG64(seed))
-            got = resample._draws(rng, m, k)
+            bg = np.random.PCG64(seed)
+            got = resample._draws(bg, m, k)
             *want, _, end_state = reference_draws(seed, m, k)
             for g, w in zip(got, want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-            assert rng.bit_generator.state == end_state
-
-    def test_chunks_after_a_redraw_read_the_cached_half(self):
-        # Seed 0 redraws b once in the first chunk, which leaves PCG64 holding a
-        # 32-bit half.  The next chunk is whole and takes every a from a cached
-        # half; the chunk after it starts from the half written back.
-        chunk, m, k = resample._CHUNK_ROWS, 20000, 2
-        cfg = SmoteConfig(100 * k, seed=0)
-        *_, irregular, _ = reference_draws(cfg.seed, m, k)
-        first, *later = sorted(irregular)
-        assert first < chunk and irregular[first] == (0, 1)
-        assert first + chunk + 1 < min(later + [m])
-        assert_matches_reference(imbalanced(n_min=m, n_maj=m, n_features=1), cfg)
+            assert bg.state == end_state
 
     def test_lemire_rejection(self):
         # At m = 59,723 the rejection bound (2**32 - (m-1)) % (m-1) is 59,666,
@@ -358,5 +344,55 @@ class TestRawWordDraws:
         m = 59723
         cfg = SmoteConfig(100, seed=0)
         *_, irregular, _ = reference_draws(cfg.seed, m, cfg.k)
-        assert any(rejections for rejections, _ in irregular.values())
+        assert "rejected" in sum(irregular.values(), [])
         assert_matches_reference(imbalanced(n_min=m, n_maj=m, n_features=1), cfg)
+
+    def test_pairs_of_hand_made_words(self):
+        # m = 4: span 3 and rejection bound 2**32 % 3 = 1, so a half is rejected
+        # only when half * 3 ends in 32 zero bits (half 0); 3 * 0xAAAAAAAB ends in 1.
+        words = np.array([
+            0xC0000000_00000000,  # low half rejected
+            0x00000000_C0000000,  # high half rejected
+            0x80000000_80000000,  # a == b
+            0xC0000000_40000000,  # c = 0 and 2; 2 skips position 1
+            0xC0000000_40000000,  # c = 0 and 2, below position 3
+            0x40000000_AAAAAAAB,  # c = 2 and 0, low half just at the bound
+            0xAAAAAAAB_40000000,  # c = 0 and 2, high half just at the bound
+        ], dtype=np.uint64)
+        a, b, irregular = resample._pairs(words, np.array([1, 1, 1, 1, 3, 0, 0]), 3)
+        assert irregular.tolist() == [True] * 3 + [False] * 4
+        assert a[3:].tolist() == [0, 0, 3, 1] and b[3:].tolist() == [3, 2, 1, 3]
+
+    def test_three_rows_are_irregular_half_the_time(self):
+        # span 2: nothing is rejected, and each c is the top bit of its half
+        words = np.random.PCG64(0).random_raw(10000)
+        a, b, irregular = resample._pairs(words, 1, 2)
+        assert np.array_equal(irregular, (words >> 31) % 2 == words >> 63)
+        assert 0.48 < irregular.mean() < 0.52
+        assert set(a[~irregular].tolist()) == set(b[~irregular].tolist()) == {0, 2}
+
+    def test_positions_are_uniform(self):
+        # Every (row, a, b) with a, b and the row distinct, over 20,000 fixed seeds
+        # at m = 5: chi-square on 5 * (12 - 1) = 55 degrees of freedom stays below
+        # 93.2, its 0.999 quantile.
+        m, seeds = 5, 20000
+        counts = np.zeros((m, m, m), dtype=np.int64)
+        for seed in range(seeds):
+            firsts, seconds, _ = resample._draws(np.random.PCG64(seed), m, 1)
+            counts[np.arange(m), firsts, seconds] += 1
+        pos, a, b = np.indices(counts.shape)
+        valid = (a != pos) & (b != pos) & (a != b)
+        assert counts[~valid].sum() == 0
+        expected = seeds / ((m - 1) * (m - 2))
+        assert ((counts[valid] - expected) ** 2 / expected).sum() < 93.2
+
+    @pytest.mark.parametrize("seed, m, k, digest", [
+        (0, 3, 2, "acd8eed52852678d0698e4fb110f8415528ae6f507f549b8725b7335d68cafb5"),
+        (1, 5, 1, "9b1db90421b66fc8ab681374fa20c234510970a5c8daa2229058bd8b2ad703a9"),
+        (2, 1000, 3, "b296570044a9dc891841ce792e1343513109efcbc9d878ddcd12314ea55206c8"),
+        (0, 59723, 1, "60d4e881f3911d5f784aafcffdbf0ab66666696d52fcf8dfd01be6ad623d1003"),
+    ])
+    def test_golden_digests(self, seed, m, k, digest):
+        # The contract is stated on raw words, which NEP 19 keeps stable, so these
+        # bytes must not change with the NumPy version.
+        assert draws_digest(seed, m, k) == digest

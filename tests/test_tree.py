@@ -10,6 +10,7 @@ from delayboost.errors import (
     NonFiniteFeatureError,
     NonFiniteTargetError,
 )
+from delayboost import tree as tree_module
 from delayboost.tree import RegressionTree, TreeParams, fit_tree, presort
 
 
@@ -303,6 +304,22 @@ class TestOracle:
         X = np.column_stack([x, x])
         tree, _ = fit_tree(X, [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
         assert tree.feature[0] == 0
+
+    @pytest.mark.parametrize("ulps_below, splits", [(0, False), (1, True)])
+    def test_no_gain_bound_is_strict(self, monkeypatch, ulps_below, splits):
+        # A split must lower the node's SSE below parent - 1e-12 * max(parent, 1):
+        # a best split exactly at that bound is no gain, one ulp below it is.
+        def scan_to_the_bound(xs, ts, total, total_sq, min_samples_leaf):
+            parent = total_sq - total * total / xs.size
+            sse = parent - 1e-12 * max(parent, 1.0)
+            for _ in range(ulps_below):
+                sse = np.nextafter(sse, -np.inf)
+            return sse, (xs[0] + xs[-1]) / 2.0
+
+        monkeypatch.setattr(tree_module, "_scan", scan_to_the_bound)
+        X = np.array([[1.0], [2.0], [3.0], [4.0]])
+        tree, _ = fit_tree(X, [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
+        assert tree.n_nodes == (3 if splits else 1)
 
     def test_determinism(self):
         rng = np.random.default_rng(23)
