@@ -104,18 +104,20 @@ def mean_deviance(y: np.ndarray, f: np.ndarray) -> float:
 def fit_gbc(train: FeatureMatrix, params: BoostParams):
     """Train a boosted model; returns (BoostedModel, TrainingTrace).
 
-    Every round fits its tree on the same matrix, so each column is argsorted
-    once here (`presort`) and every round's `fit_tree` reuses that order.  The
-    fit also returns each row's leaf, over which the round takes its Newton
-    steps, so no round routes the training matrix again.
+    Every round fits its tree on the same matrix, so the matrix's
+    `ColumnIndex` is built once here (`presort`: each column argsorted, its
+    two-valued columns found, X checked finite) and every round's `fit_tree`
+    reuses it.  The fit also returns each row's leaf, over which the round
+    takes its Newton steps, so no round routes the training matrix again.
 
     Raises:
+        NoFeatureColumnsError: the feature matrix has no columns.
         NonFiniteFeatureError: NaN or infinity in the feature matrix.
         SingleClassTrainingError: training labels are all one class.
     """
     X = train.values
     y = train.labels
-    order = presort(X)
+    index = presort(X)
     n_pos = int((y == 1).sum())
     if n_pos == 0 or n_pos == y.size:
         raise SingleClassTrainingError("training data must contain both classes")
@@ -130,7 +132,7 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
     for _ in range(params.estimators):
         p = sigmoid(f)
         residual = y - p
-        tree, leaf = fit_tree(X, residual, params.tree_params, order=order)
+        tree, leaf = fit_tree(X, residual, params.tree_params, index=index)
         values = _newton_values(tree, leaf, residual, p * (1.0 - p))
         f += params.learning_rate * values[leaf]
         trees.append(replace(tree, value=values))

@@ -94,6 +94,10 @@ class DimensionMismatchError(TrainingError):
     """Input dimensionality differs from training dimensionality."""
 
 
+class NoFeatureColumnsError(DataError):
+    """A feature matrix to fit on has no columns: a tree has nothing to split on."""
+
+
 class SingleClassTrainingError(TrainingError):
     """Training data contains only one class; log-odds prior is infinite."""
 

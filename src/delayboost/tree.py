@@ -8,11 +8,18 @@ is deterministic no matter how the search is scheduled.  Rows route left when
 x[feature] <= threshold.
 
 The search is exact and presorted, after the column blocks of XGBoost (Chen &
-Guestrin 2016, section 4.1).  `presort` argsorts each column once, and a tree
-grows one level at a time: for each feature, one stable sort of the rows'
-node labels along the presorted column lays out every node of the level
-contiguously, each in its own sorted order, and one pass scans them all.
-`fit_gbc` presorts once per fit and hands the same order to every round.
+Guestrin 2016, section 4.1).  `presort` builds a fit's `ColumnIndex` once:
+each column's stable argsort, and which columns hold exactly two distinct
+values.  A tree grows one level at a time.  For a column with three or more
+values, one stable sort of the rows' node labels along the presorted column
+lays out every node of the level contiguously, each in its own sorted order,
+and one pass scans them all.  A two-valued column has one boundary, at the
+same value in every node, so it needs no sort and no scan: its low-value
+rows are a prefix of its presorted order, and three `np.bincount` calls per
+level give every (column, node) pair its low side's count, sum and sum of
+squares.  This skips the work a column's structure makes redundant, as the
+sparsity-aware search of XGBoost (section 3.4) does.  `fit_gbc` builds the
+index once per fit and hands it to every round.
 
 Nodes live in flat parallel arrays (feature, threshold, left, right, value),
 numbered in preorder; leaves have feature -1.
@@ -20,9 +27,9 @@ numbered in preorder; leaves have feature -1.
 `fit_tree` also returns the partition it grew: each training row's leaf id,
 so `fit_gbc` takes its Newton steps over the rows the fit already placed.
 
-`fit_tree` reads X one column at a time (`presort`, and each feature's
-gather in `_best_splits`), so a column-major X, as every `FeatureMatrix`
-holds, gives those reads contiguous memory.
+`fit_tree` reads X one column at a time (`presort`, and each many-valued
+feature's gather in `_best_splits`), so a column-major X, as every
+`FeatureMatrix` holds, gives those reads contiguous memory.
 
 `apply` routes rows one level at a time over a column-major matrix, with
 tables each tree builds on first use.  A `FeatureMatrix`'s values are
@@ -44,11 +51,15 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
+    NoFeatureColumnsError,
     NonFiniteFeatureError,
     NonFiniteTargetError,
 )
 
 _LEAF = -1
+# Low rows per batch of `_two_valued_sums`: its key and weight buffers stay
+# near 1 MiB, and in cache for its three passes, however large the fit.
+_BATCH_ROWS = 1 << 16
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -196,48 +207,84 @@ class RegressionTree:
         return cls(feature, threshold, left, right, value, n_features)
 
 
-def presort(X: np.ndarray) -> np.ndarray:
-    """Row ids of each column of X in stable ascending order, as a (d, n) int32 array.
+@dataclass(frozen=True)
+class ColumnIndex:
+    """What a fit knows of its matrix's columns before any tree grows; see `presort`.
+
+    Per column f: `order[f]`, its row ids in stable ascending order of value;
+    and if it holds exactly two distinct values (by `==`, so -0.0 and 0.0
+    are one value), `low_count[f]`, the number of rows holding the lower
+    value, and `threshold[f]`, the split between the two values by
+    `_split_point`'s rule.  The low rows are `order[f, :low_count[f]]`, in
+    ascending row id.  Other columns have `low_count` 0 and `threshold` NaN.
+    """
+
+    order: np.ndarray      # (d, n) int32
+    low_count: np.ndarray  # (d,) int64
+    threshold: np.ndarray  # (d,) float64
+
+    @property
+    def two_valued(self) -> np.ndarray:
+        """Whether each column holds exactly two distinct values."""
+        return self.low_count > 0
+
+
+def presort(X: np.ndarray) -> ColumnIndex:
+    """The `ColumnIndex` of X: every column argsorted once, its two-valued columns found.
 
     Sorted one column at a time, so no (n, d) int64 temporary is held; the
     columns of a column-major X are contiguous.
 
     Raises:
         DimensionMismatchError: X is not a 2-D matrix.
+        NoFeatureColumnsError: X has no columns, so a tree has nothing to split on.
         NonFiniteFeatureError: NaN or infinity in X.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise DimensionMismatchError(f"expected a 2-D feature matrix, got shape {X.shape}")
+    if X.shape[1] == 0:
+        raise NoFeatureColumnsError("cannot fit a tree on a matrix with no feature columns")
     if not np.all(np.isfinite(X)):
         raise NonFiniteFeatureError("features contain NaN or infinity")
-    order = np.empty((X.shape[1], X.shape[0]), dtype=np.int32)
-    for f in range(X.shape[1]):
+    d = X.shape[1]
+    order = np.empty((d, X.shape[0]), dtype=np.int32)
+    low_count = np.zeros(d, dtype=np.int64)
+    threshold = np.full(d, np.nan)
+    for f in range(d):
         order[f] = np.argsort(X[:, f], kind="stable")
-    return order
+        xs = X[:, f].take(order[f])
+        changes = np.flatnonzero(xs[1:] != xs[:-1])
+        if changes.size == 1:
+            c = low_count[f] = changes[0] + 1
+            # A node's own two values equal these, and the threshold has the
+            # same bits whichever sign a zero among them carries.
+            threshold[f] = _split_point(xs[c - 1], xs[c])
+    return ColumnIndex(order, low_count, threshold)
 
 
 def fit_tree(
-    X: np.ndarray, targets: np.ndarray, params: TreeParams, *, order: np.ndarray | None = None
+    X: np.ndarray, targets: np.ndarray, params: TreeParams, *, index: ColumnIndex | None = None
 ) -> tuple[RegressionTree, np.ndarray]:
     """Fit a least-squares regression tree; returns (tree, each row's leaf id).
 
-    Leaf value = mean of its targets.  `order` is `presort(X)`, computed here
+    Leaf value = mean of its targets.  `index` is `presort(X)`, built here
     when not given.  The tree grows one level at a time, each level's split
-    search taking one pass per presorted column, yet the result equals a
-    recursive search that argsorts every column at every node, bit for bit.
-    Every node shallower than `max_depth` is searched; `_best_splits` applies
-    the node rules (`min_samples_split`; a split must lower the SSE) and
-    `_scan` the boundary rule (`min_samples_leaf`).  Nodes are numbered in
-    preorder: a node, its left subtree, its right subtree.
+    search taking one pass per many-valued column and three `np.bincount`
+    calls for all two-valued ones, yet the result equals a recursive search
+    that argsorts every column at every node, bit for bit.  Every node
+    shallower than `max_depth` is searched; `_best_splits` applies the node
+    rules (`min_samples_split`; a split must lower the SSE) and the boundary
+    rule (`min_samples_leaf`).  Nodes are numbered in preorder: a node, its
+    left subtree, its right subtree.
 
     Raises:
         EmptyInputError: no rows.
         DimensionMismatchError: X is not a 2-D matrix, its row count differs
-            from the target length, or `order` is not shaped (d, n).
+            from the target length, or `index.order` is not shaped (d, n).
         NonFiniteTargetError: NaN or infinite targets.
-        NonFiniteFeatureError: NaN or infinity in X (checked only when
-            `order` is None).
+        NoFeatureColumnsError, NonFiniteFeatureError: as `presort` raises
+            them (only when `index` is None).
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -249,10 +296,10 @@ def fit_tree(
         raise DimensionMismatchError(f"{X.shape[0]} rows but {t.size} targets")
     if not np.all(np.isfinite(t)):
         raise NonFiniteTargetError("targets contain NaN or infinity")
-    order = presort(X) if order is None else np.asarray(order)
-    if order.shape != (X.shape[1], X.shape[0]):
+    index = presort(X) if index is None else index
+    if index.order.shape != (X.shape[1], X.shape[0]):
         raise DimensionMismatchError(
-            f"presort has shape {order.shape}, expected {(X.shape[1], X.shape[0])}"
+            f"column index has shape {index.order.shape}, expected {(X.shape[1], X.shape[0])}"
         )
 
     # Nodes in creation order, [feature, threshold, left, right, value] each;
@@ -263,7 +310,7 @@ def fit_tree(
     leaf = np.empty(X.shape[0], dtype=np.int64)
     level = {0: np.arange(X.shape[0])}
     for depth in range(params.max_depth + 1):
-        found = (_best_splits(X, t, order, list(level.values()), params)
+        found = (_best_splits(X, t, index, list(level.values()), params)
                  if depth < params.max_depth else [None] * len(level))
         children = {}
         for (node, rows), split in zip(level.items(), found):
@@ -305,20 +352,27 @@ def _preorder(nodes: list, n_features: int):
     ), rank
 
 
-def _best_splits(X, t, order, groups, params):
+def _best_splits(X, t, index, groups, params):
     """Best (feature, threshold), or None, for each group of ascending row ids.
 
-    For each feature, one stable sort of the node labels along the presorted
-    column lays every group's rows out contiguously, each group sorted by
-    value and then by row id: exactly its own stable argsort.  So every sum
-    and every tie matches a search that sorts each node on its own.  `_scan`
-    fills a (feature, group) table of SSEs, and one of thresholds, for the
-    groups of at least `min_samples_split` rows; other cells stay +inf.
-    `argmin(axis=0)` takes each group's first minimum, so ties break to the
-    lowest feature, then the lowest threshold.  A group splits only if that
-    minimum is below its own SSE beyond numeric noise.  The bound is the
-    group's, the same for every feature, so a search that checked each
-    feature's best in turn would reject all of them or keep the same one.
+    Fills a (feature, group) table of SSEs, and one of thresholds, for the
+    groups of at least `min_samples_split` rows; other cells stay +inf.  A
+    two-valued feature's only boundary in a group falls right after the
+    group's low rows, so `_two_valued_sums` gives all its cells their low
+    side's count and sums by `bincount`, the same bits `_scan`'s `cumsum`
+    reads there; past a first boundary the bits would differ (see
+    `_two_valued_sums`).  `_children_sse`, `_admissible` and the index's
+    threshold then fill those cells as `_scan` would.  For a many-valued
+    feature, `_scan` fills them: one stable sort of the node labels
+    along the presorted column lays every group's rows out contiguously,
+    each group sorted by value and then by row id: exactly its own stable
+    argsort.  So every sum and every tie matches a search that sorts each
+    node on its own.  `argmin(axis=0)` takes each group's first minimum, so
+    ties break to the lowest feature, then the lowest threshold.  A group
+    splits only if that minimum is below its own SSE beyond numeric noise.
+    The bound is the group's, the same for every feature, so a search that
+    checked each feature's best in turn would reject all of them or keep the
+    same one.
     """
     if not groups:
         return []
@@ -328,13 +382,22 @@ def _best_splits(X, t, order, groups, params):
     for k, rows in enumerate(groups):
         label[rows] = k
     bounds = np.cumsum([0] + [rows.size for rows in groups])
+    size = np.diff(bounds)
     total, total_sq = np.array([(ti.sum(), (ti * ti).sum())
                                 for ti in (t[rows] for rows in groups)]).T
-    scanned = np.flatnonzero(np.diff(bounds) >= params.min_samples_split).tolist()
+    splittable = size >= params.min_samples_split
+    scanned = np.flatnonzero(splittable).tolist()
 
     sse, threshold = np.full((2, X.shape[1], n_groups), np.inf)
-    for f in range(X.shape[1]):
-        column = order[f].astype(np.intp)  # an int32 index is cast at every take
+    two = np.flatnonzero(index.two_valued)
+    left_n, left_sum, left_sq = _two_valued_sums(t, index, two, label, n_groups)
+    slot, group = np.nonzero(splittable & _admissible(left_n, size, params.min_samples_leaf))
+    sse[two[slot], group] = _children_sse(
+        left_n[slot, group], left_sum[slot, group], left_sq[slot, group],
+        size[group], total[group], total_sq[group])
+    threshold[two[slot], group] = index.threshold[two[slot]]
+    for f in np.flatnonzero(~index.two_valued):
+        column = index.order[f].astype(np.intp)  # an int32 index is cast at every take
         grouped = column.take(np.argsort(label.take(column), kind="stable")[: bounds[-1]])
         xs, ts = X[:, f][grouped], t.take(grouped)
         for k in scanned:
@@ -342,10 +405,78 @@ def _best_splits(X, t, order, groups, params):
             sse[f, k], threshold[f, k] = _scan(
                 xs[lo:hi], ts[lo:hi], total[k], total_sq[k], params.min_samples_leaf)
     feature = sse.argmin(axis=0)
-    parent = total_sq - total * total / np.diff(bounds)
+    parent = total_sq - total * total / size
     splits = sse[feature, np.arange(n_groups)] < parent - 1e-12 * np.maximum(parent, 1.0)
     return [(int(f), threshold[f, k]) if split else None
             for k, (f, split) in enumerate(zip(feature, splits))]
+
+
+def _two_valued_sums(t, index, two, label, n_groups):
+    """(count, sum, sum of squares) of t over each two-valued column's low rows
+    in each group, as (len(two), n_groups) arrays.
+
+    The key of a low row of the column in slot s is s * (n_groups + 1) plus
+    its label, so one `np.bincount` per statistic covers every (column,
+    group) cell, and the rows of earlier leaves fall in each slot's last bin.
+    The sums are the ones `_scan` reads off `cumsum`: a weighted `bincount`
+    adds a cell's weights in index order from 0.0, and a column's low rows
+    run in ascending row id, which is the order a group's own stable sort
+    puts them in, first.  So up to a group's first boundary both add the
+    same values in the same order.  (Only a sum of -0.0 alone comes out
+    +0.0, and the SSE squares that sign away.)  At any later boundary the
+    two would differ, which is why only two-valued columns take this path.
+
+    The columns go in batches of about `_BATCH_ROWS` low rows, each column
+    whole, so its sums still run in one pass.  A batch has one key buffer and
+    one weight buffer, the weights squared in place for the third pass.
+    """
+    width = n_groups + 1
+    label = label.astype(np.intp)
+    count = np.empty((two.size, width), dtype=np.intp)
+    left_sum, left_sq = np.empty((2, two.size, width))
+    low_count = index.low_count[two]
+    batch_of = (np.cumsum(low_count) - 1) // _BATCH_ROWS
+    for batch in np.split(np.arange(two.size), np.flatnonzero(np.diff(batch_of)) + 1):
+        key = np.empty(low_count[batch].sum(), dtype=np.intp)
+        weight = np.empty(key.size)
+        start = 0
+        for slot, (f, c) in enumerate(zip(two[batch], low_count[batch])):
+            rows = index.order[f, :c]
+            part = slice(start, start + rows.size)
+            # the rows are in range; "clip" writes straight into `out`, where "raise" buffers
+            label.take(rows, out=key[part], mode="clip")
+            key[part] += slot * width
+            t.take(rows, out=weight[part], mode="clip")
+            start += rows.size
+        cells = batch.size * width
+        count[batch] = np.bincount(key, minlength=cells).reshape(-1, width)
+        left_sum[batch] = np.bincount(key, weight, minlength=cells).reshape(-1, width)
+        np.multiply(weight, weight, out=weight)
+        left_sq[batch] = np.bincount(key, weight, minlength=cells).reshape(-1, width)
+    return count[:, :n_groups], left_sum[:, :n_groups], left_sq[:, :n_groups]
+
+
+def _admissible(left_n, n, min_samples_leaf):
+    """Whether a boundary with left_n of a node's n rows on its left leaves
+    `min_samples_leaf` rows on each side."""
+    return (left_n >= min_samples_leaf) & (n - left_n >= min_samples_leaf)
+
+
+def _children_sse(left_n, left_sum, left_sq, n, total, total_sq):
+    """The summed SSE of the two children of a boundary with left_n rows on its left."""
+    right_sum = total - left_sum
+    right_sq = total_sq - left_sq
+    return (left_sq - left_sum * left_sum / left_n) + (
+        right_sq - right_sum * right_sum / (n - left_n)
+    )
+
+
+def _split_point(lo, hi):
+    """The threshold between adjacent distinct values lo < hi: their midpoint,
+    or lo where the midpoint rounds up to hi (or overflows), which would send
+    hi left; lo splits the same rows."""
+    mid = (lo + hi) / 2.0
+    return mid if mid < hi else lo
 
 
 def _scan(xs, ts, total, total_sq, min_samples_leaf):
@@ -356,22 +487,11 @@ def _scan(xs, ts, total, total_sq, min_samples_leaf):
     """
     n = xs.size
     boundaries = np.flatnonzero(xs[1:] != xs[:-1]) + 1
-    boundaries = boundaries[(boundaries >= min_samples_leaf) & (n - boundaries >= min_samples_leaf)]
+    boundaries = boundaries[_admissible(boundaries, n, min_samples_leaf)]
     if boundaries.size == 0:
         return np.inf, np.nan
-    cum = np.cumsum(ts)
-    cum_sq = np.cumsum(ts * ts)
-    left_sum = cum[boundaries - 1]
-    left_sq = cum_sq[boundaries - 1]
-    right_n = n - boundaries
-    right_sum = total - left_sum
-    right_sq = total_sq - left_sq
-    sse = (left_sq - left_sum * left_sum / boundaries) + (
-        right_sq - right_sum * right_sum / right_n
-    )
+    sse = _children_sse(
+        boundaries, np.cumsum(ts)[boundaries - 1], np.cumsum(ts * ts)[boundaries - 1],
+        n, total, total_sq)
     j = int(np.argmin(sse))  # first minimum = lowest threshold
-    lo, hi = xs[boundaries[j] - 1], xs[boundaries[j]]
-    mid = (lo + hi) / 2.0
-    # Between adjacent doubles the midpoint can round up to hi (or overflow),
-    # which would send hi left; lo splits the same rows.
-    return sse[j], (mid if mid < hi else lo)
+    return sse[j], _split_point(xs[boundaries[j] - 1], xs[boundaries[j]])

@@ -25,6 +25,7 @@ from delayboost.errors import (
     DimensionMismatchError,
     EmptyInputError,
     InvalidThresholdError,
+    NoFeatureColumnsError,
     NonFiniteFeatureError,
     SingleClassTrainingError,
 )
@@ -90,6 +91,12 @@ class TestPrior:
         fm = make_matrix([[0.0], [np.nan]], [1, 1])
         with pytest.raises(NonFiniteFeatureError):
             fit_gbc(fm, quick_params())
+
+    @pytest.mark.parametrize("estimators", [0, 3])
+    def test_no_feature_columns_rejected(self, estimators):
+        fm = make_matrix(np.empty((4, 0)), [0, 1, 0, 1])
+        with pytest.raises(NoFeatureColumnsError, match="no feature columns"):
+            fit_gbc(fm, quick_params(estimators))
 
 
 class TestScores:

@@ -485,6 +485,22 @@ class TestExitCodes:
         assert code == 3 and err == ["error: ROC needs both classes present"]
         assert not model.exists()
 
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--estimators", 3, "--model-out", "m.json"]),
+        ("tune", ["--grid", "2x1", "--folds", 2]),
+    ])
+    def test_schema_of_only_the_label_is_3(self, tmp_path, monkeypatch, command, flags):
+        monkeypatch.chdir(tmp_path)
+        assert run("synth", "--rows", 300, "--seed", 1,
+                   "--out", "d.csv", "--schema-out", "s.json") == 0
+        doc = json.loads((tmp_path / "s.json").read_text())
+        doc["columns"] = [c for c in doc["columns"] if c["kind"] == "label"]
+        (tmp_path / "s.json").write_text(json.dumps(doc))
+        code, err = run_quietly(command, "--input", "d.csv", "--schema", "s.json", *flags)
+        assert code == 3
+        assert err == ["error: cannot fit a tree on a matrix with no feature columns"]
+        assert not (tmp_path / "m.json").exists()
+
     def test_filter_syntax_error_is_3(self, workspace, capsys):
         code = run(
             "prepare", "--input", workspace / "data.csv",

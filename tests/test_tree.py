@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from delayboost.errors import (
     DimensionMismatchError,
     EmptyInputError,
+    NoFeatureColumnsError,
     NonFiniteFeatureError,
     NonFiniteTargetError,
 )
@@ -505,28 +508,144 @@ class TestWholeTreeOracleProperty:
             assert fitted.tobytes() == routed.tobytes()
 
 
+# Values a two-valued column holds: -0.0 and 0.0 are one value; the adjacent
+# doubles' midpoint rounds up to the higher one, so the lower is the threshold.
+_LOW = np.nextafter(1.0, 2.0)
+_PAIRS = ((0.0, 1.0), (-0.0, 0.0, 1.0), (_LOW, np.nextafter(_LOW, 2.0)), (-2.5, 4.0))
+
+
+@st.composite
+def _two_valued_inputs(draw):
+    """Trees on matrices that mix two-valued and many-valued columns.
+
+    A two-valued column may hold its second value in only a row or two, or
+    repeat an earlier column, so that it holds one value in some nodes; a
+    large `min_samples_leaf` can rule out its only boundary.
+    """
+    n = draw(st.integers(2, 60))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["pair", "rare", "copy", "ints", "floats"]))
+        if kind == "copy" and columns:
+            columns.append(columns[draw(st.integers(0, len(columns) - 1))])
+        elif kind in ("pair", "rare", "copy"):
+            pair = draw(st.sampled_from(_PAIRS))
+            cells = draw(arrays(np.float64, n, elements=st.sampled_from(pair[:-1])))
+            odd = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=2 if kind == "rare" else n))
+            cells[odd] = pair[-1]
+            columns.append(cells)
+        else:
+            element = st.integers(-3, 3).map(float) if kind == "ints" else st.floats(-5.0, 5.0)
+            columns.append(draw(arrays(np.float64, n, elements=element)))
+    X = np.column_stack(columns)
+    target = st.integers(-2, 2).map(float) if draw(st.booleans()) else st.floats(-10.0, 10.0)
+    t = draw(arrays(np.float64, n, elements=target))
+    params = TreeParams(
+        max_depth=draw(st.integers(1, 6)),
+        min_samples_split=draw(st.integers(2, 6)),
+        min_samples_leaf=draw(st.integers(1, 8)),
+    )
+    return X, t, params
+
+
+class TestTwoValuedOracleProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_two_valued_inputs(), st.integers(1, 40))
+    def test_node_arrays_and_leaves_equal_the_per_node_argsort_tree(self, inputs, batch_rows):
+        X, t, params = inputs
+        want = reference_fit(X, t, params)
+        routed = reference_apply(RegressionTree(*want, n_features=X.shape[1]), X)
+        # the default batch holds every column of these matrices; a small one splits them
+        for batch in (tree_module._BATCH_ROWS, batch_rows):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(tree_module, "_BATCH_ROWS", batch)
+                tree, leaf = fit_tree(np.asfortranarray(X), t, params)
+            got = (tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+            assert leaf.dtype == routed.dtype == np.int64
+            assert leaf.tobytes() == routed.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_two_valued_inputs(), st.data())
+    def test_low_side_sums_are_each_nodes_prefix_sums(self, inputs, data):
+        # The SSE table's bits rest on these: each group's count, sum and sum of
+        # squares over a column's low rows equal the `cumsum` a search that sorts
+        # the group on its own reads at its boundary.  Only the sign of a zero
+        # sum may differ, and the SSE squares it away.
+        X, t, _ = inputs
+        index = presort(X)
+        two = np.flatnonzero(index.two_valued)
+        assume(two.size)
+        n_groups = data.draw(st.integers(1, 4))
+        # label n_groups marks rows of earlier leaves, in no group
+        label = data.draw(arrays(np.uint8, t.size, elements=st.integers(0, n_groups)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tree_module, "_BATCH_ROWS", data.draw(st.integers(1, 40)))
+            count, total, total_sq = tree_module._two_valued_sums(t, index, two, label, n_groups)
+        for slot, f in enumerate(two):
+            low = X[index.order[f, 0], f]
+            for k in range(n_groups):
+                rows = np.flatnonzero(label == k)
+                xs = X[rows, f]
+                ts = t[rows][np.argsort(xs, kind="stable")]
+                b = int((xs == low).sum())
+                assert count[slot, k] == b
+                if b:
+                    assert total[slot, k] == np.cumsum(ts)[b - 1]
+                    assert total_sq[slot, k] == np.cumsum(ts * ts)[b - 1]
+                else:
+                    assert total[slot, k] == total_sq[slot, k] == 0.0
+
+
 class TestPresort:
     def test_is_the_stable_argsort_of_every_column(self):
         rng = np.random.default_rng(31)
         X = rng.integers(0, 3, size=(50, 4)).astype(float)  # many ties
-        order = presort(X)
+        order = presort(X).order
         assert order.dtype == np.int32
         assert np.array_equal(order, np.argsort(X, axis=0, kind="stable").T)
 
-    def test_given_order_gives_the_same_tree(self):
+    def test_records_exactly_the_two_valued_columns(self):
+        rows = np.arange(8)
+        lo, hi = _LOW, np.nextafter(_LOW, 2.0)
+        X = np.column_stack([
+            rows % 2,                                    # 0 and 1
+            [-0.0, 0.0, 1.0, -0.0, 1.0, 0.0, 0.0, 1.0],  # -0.0 and 0.0 are one value
+            np.where(rows == 6, lo, hi),                 # adjacent doubles
+            np.where(rows < 5, 4.0, -2.5),               # the low value in the high rows
+            rows % 3,                                    # three values
+            np.full(8, 7.0),                             # one value
+            rows * 0.5,                                  # eight values
+        ]).astype(float)
+        index = presort(X)
+        assert index.two_valued.tolist() == [True, True, True, True, False, False, False]
+        assert index.low_count.tolist() == [4, 5, 1, 3, 0, 0, 0]
+        assert index.threshold.tobytes() == np.array(
+            [0.5, 0.5, lo, 0.75, np.nan, np.nan, np.nan]).tobytes()
+        for f in np.flatnonzero(index.two_valued):
+            low = index.order[f, : index.low_count[f]]
+            assert low.tolist() == np.flatnonzero(X[:, f] == X[:, f].min()).tolist()
+
+    def test_given_index_gives_the_same_tree(self):
         rng = np.random.default_rng(37)
-        X = np.column_stack([rng.normal(size=80), rng.integers(0, 4, size=80)])
-        t = rng.normal(size=80)
+        X = np.column_stack([rng.normal(size=80), rng.integers(0, 4, size=80),
+                             rng.integers(0, 2, size=80)]).astype(float)
+        t = rng.normal(size=80) + 2.0 * X[:, 2]
         params = TreeParams(max_depth=4)
-        given, _ = fit_tree(X, t, params, order=presort(X))
+        given, _ = fit_tree(X, t, params, index=presort(X))
         computed, _ = fit_tree(X, t, params)
         assert given.to_doc() == computed.to_doc()
+        assert 2 in given.feature  # the two-valued column is split on
 
     @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (2,), (1, 3, 2)])
     def test_misshapen_order_rejected(self, shape):
-        X = np.arange(6.0).reshape(3, 2)  # presort(X) has shape (2, 3)
+        X = np.arange(6.0).reshape(3, 2)  # presort(X).order has shape (2, 3)
+        index = replace(presort(X), order=np.zeros(shape, dtype=np.int32))
         with pytest.raises(DimensionMismatchError):
-            fit_tree(X, [0.0, 1.0, 1.0], TreeParams(), order=np.zeros(shape, dtype=np.int32))
+            fit_tree(X, [0.0, 1.0, 1.0], TreeParams(), index=index)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
@@ -535,6 +654,14 @@ class TestPresort:
             presort(X)
         with pytest.raises(NonFiniteFeatureError):
             fit_tree(X, [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=1))
+
+    @pytest.mark.parametrize("depth", [0, 3])
+    def test_no_feature_columns_rejected(self, depth):
+        X = np.empty((4, 0))
+        with pytest.raises(NoFeatureColumnsError, match="no feature columns"):
+            presort(X)
+        with pytest.raises(NoFeatureColumnsError):
+            fit_tree(X, [0.0, 0.0, 1.0, 1.0], TreeParams(max_depth=depth))
 
 
 class TestSerialization:
