@@ -18,7 +18,7 @@ sigmoid(f_M(x)) is the delay probability.  Scoring takes an (n, n_features)
 matrix only; a single row is a (1, n_features) matrix.  One loop adds the
 trees up: `staged_scores` yields f_0, f_1, ..., f_M in turn, updating one
 array in place, so a caller reads (or copies) each value before it asks for
-the next.  Every tree's level-wise routing reads a column-major matrix:
+the next.  Every tree's routing reads a column-major matrix:
 the values of a `FeatureMatrix` already are one, so `staged_deviance` and
 `tune` score them in place, and any other layout is copied once.
 `decision_function` is its last value, computed per cache-sized row block

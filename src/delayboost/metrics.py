@@ -178,6 +178,13 @@ def render_report(doc: dict) -> str:
 def roc_auc(y_true, scores) -> RocCurve:
     """ROC staircase and its trapezoidal area from raw decision scores.
 
+    Scores are sorted by NumPy's default, unstable sort.  The counts at the
+    end of a run of tied scores do not depend on the order within the run;
+    the run's threshold is the score of its highest row index, the row a
+    stable sort would put last.  So the output does not depend on the sort
+    either, not even in a run holding both -0.0 and +0.0, whose threshold's
+    sign `to_csv` writes.
+
     Raises:
         LengthMismatchError: unequal input lengths.
         UnrecognizedLabelValueError: a label other than 0 or 1.
@@ -196,18 +203,19 @@ def roc_auc(y_true, scores) -> RocCurve:
     if n_pos == 0 or n_neg == 0:
         raise SingleClassInputError("ROC needs both classes present")
 
-    order = np.argsort(-s, kind="stable")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    # last index of each run of tied scores
-    boundary = np.flatnonzero(s_sorted[1:] != s_sorted[:-1])
-    last = np.concatenate([boundary, [y.size - 1]])
-    cum_tp = np.cumsum(y_sorted == 1)[last]
-    cum_fp = np.cumsum(y_sorted == 0)[last]
+    order = np.argsort(-s)
+    ranked = s[order]
+    # last position of each run of tied scores
+    last = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]), y.size - 1)
+    # each run's threshold is its highest row's score: the row a stable sort puts last
+    top_row = np.maximum.reduceat(order, np.append(0, last[:-1] + 1))
+    cum_tp = np.cumsum(y[order] == 1)[last]
+    del order, ranked  # freed before the sweep's own arrays of this length: a lower peak
 
     tpr = np.concatenate([[0.0], cum_tp / n_pos])
-    fpr = np.concatenate([[0.0], cum_fp / n_neg])
-    thresholds = np.concatenate([[math.inf], s_sorted[last]])
+    # the rows up to a run's end that are not true positives are false positives
+    fpr = np.concatenate([[0.0], (last + 1 - cum_tp) / n_neg])
+    thresholds = np.concatenate([[math.inf], s[top_row]])
     for a in (fpr, tpr, thresholds):
         a.flags.writeable = False
     return RocCurve(fpr, tpr, thresholds, auroc=float(np.trapezoid(tpr, fpr)))

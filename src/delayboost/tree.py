@@ -31,13 +31,18 @@ so `fit_gbc` takes its Newton steps over the rows the fit already placed.
 feature's gather in `_best_splits`), so a column-major X, as every
 `FeatureMatrix` holds, gives those reads contiguous memory.
 
-`apply` routes rows one level at a time over a column-major matrix, with
-tables each tree builds on first use.  A `FeatureMatrix`'s values are
-column-major already, so its rows are routed in place; any other layout is
-copied once per call.  In the tables, leaves loop to themselves (feature
-0, threshold +inf, both children the leaf), and `kids[2 * node + goes_left]`
-is the next node.  A pass gathers every row's value at its node's feature,
-compares it with the node's threshold and gathers the child.  The tables
+`apply` routes rows over a column-major matrix, with tables each tree
+builds on first use.  A `FeatureMatrix`'s values are column-major already, so
+its rows are routed in place; any other layout is copied once per call.  The
+tree's band, its at most 7 internal nodes shallower than depth 3, routes
+without gathers: each band node compares one whole column with its
+threshold, setting one bit of every row's uint8 code, and one lookup in a
+table of 2**k entries maps the code to the node the row reaches after three
+levels.  Deeper levels take one pass each.  In the tables, leaves loop to
+themselves (feature 0, threshold +inf, both children the leaf), and
+`kids[2 * node + goes_left]` is the next node.  A pass gathers every row's
+value at its node's feature, compares it with the node's threshold and
+gathers the child, so a tree of depth 3 or less needs no pass.  The tables
 are never serialized.
 """
 
@@ -57,6 +62,9 @@ from .errors import (
 )
 
 _LEAF = -1
+# Levels `apply` routes by a code of one bit per node: their at most 7
+# internal nodes fill a uint8.
+_BAND_LEVELS = 3
 # Low rows per batch of `_two_valued_sums`: its key and weight buffers stay
 # near 1 MiB, and in cache for its three passes, however large the fit.
 _BATCH_ROWS = 1 << 16
@@ -121,44 +129,73 @@ class RegressionTree:
     def n_leaves(self) -> int:
         return self.leaf_nodes.size
 
+    @cached_property
+    def _node_depth(self) -> np.ndarray:
+        """Each node's depth (int64), the root's 0; walked once per tree, a level per step."""
+        depth = np.zeros(self.n_nodes, dtype=np.int64)
+        level, d = np.zeros(1, dtype=np.int64), 0
+        while level.size:
+            depth[level] = d
+            inner = level[self.feature.take(level) != _LEAF]
+            level, d = np.concatenate([self.left.take(inner), self.right.take(inner)]), d + 1
+        return depth
+
     @property
     def depth(self) -> int:
-        depths = np.zeros(self.n_nodes, dtype=np.int64)
-        for node in range(self.n_nodes):
-            if self.feature[node] != _LEAF:
-                depths[self.left[node]] = depths[node] + 1
-                depths[self.right[node]] = depths[node] + 1
-        return int(depths.max())
+        return int(self._node_depth.max())
 
     @cached_property
     def _routing(self):
-        """(feature, threshold, kids, depth): `apply`'s tables, built once per tree."""
+        """`apply`'s tables, built once per tree.
+
+        Returns (band, table, feature, threshold, kids, depth).  `band` lists
+        (feature, threshold) of the internal nodes shallower than
+        `_BAND_LEVELS`, at most 7, in preorder; a row's code has bit i set
+        when it goes left at band node i, and `table[code]` is the node the
+        row reaches after `_BAND_LEVELS` levels: a leaf, or a node at that
+        depth.  The table is filled by walking every code through `kids`.
+        """
         leaf = self.feature == _LEAF
         nodes = np.arange(self.n_nodes)
         kids = np.empty(2 * self.n_nodes, dtype=np.intp)
         kids[0::2] = np.where(leaf, nodes, self.right)
         kids[1::2] = np.where(leaf, nodes, self.left)
+        band = np.flatnonzero(~leaf & (self._node_depth < _BAND_LEVELS))
+        position = np.zeros(self.n_nodes, dtype=np.intp)  # a band node's bit in the code
+        position[band] = np.arange(band.size)
+        codes = np.arange(1 << band.size)
+        table = np.zeros_like(codes)
+        for _ in range(_BAND_LEVELS):
+            table = kids.take(2 * table + ((codes >> position.take(table)) & 1))
         feature = np.where(leaf, 0, self.feature).astype(np.intp)
-        return feature, np.where(leaf, np.inf, self.threshold), kids, self.depth
+        return (list(zip(self.feature[band].tolist(), self.threshold[band].tolist())), table,
+                feature, np.where(leaf, np.inf, self.threshold), kids, self.depth)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf node id (int64) for every row of X; x <= threshold goes left, NaN right.
 
-        One pass per level, each gathering every row's value at its node's
-        feature from X's column-major buffer, so the gathers read contiguous
-        columns.  An X in any other layout is copied column-major once; the
-        values of a `FeatureMatrix` are never copied.
+        The first `_BAND_LEVELS` levels take one compare of a whole column per
+        band node (see `_routing`), each setting one bit of every row's uint8
+        code, and one lookup of the codes in the tree's table.  Each deeper
+        level is one pass gathering every row's value at its node's feature
+        from X's column-major buffer.  Both read contiguous columns.  An X in
+        any other layout is copied column-major once; the values of a
+        `FeatureMatrix` are never copied.
         """
         X = np.asfortranarray(_check_matrix(X, self.n_features))
-        feature, threshold, kids, depth = self._routing
+        band, table, feature, threshold, kids, depth = self._routing
         n = X.shape[0]
-        if depth == 0:
-            return np.zeros(n, dtype=np.int64)
-        node = kids.take(X[:, feature[0]] <= threshold[0])
-        flat, rows, offset = X.ravel(order="F"), np.arange(n), feature * n
-        for _ in range(depth - 1):
-            goes_left = flat.take(offset.take(node) + rows) <= threshold.take(node)
-            node = kids.take(2 * node + goes_left)
+        code, bit = np.zeros(n, dtype=np.uint8), np.empty(n, dtype=np.uint8)
+        for f, t in reversed(band):  # band node i's bit is then doubled i times
+            np.add(code, code, out=code)
+            np.less_equal(X[:, f], t, out=bit.view(np.bool_))
+            np.bitwise_or(code, bit, out=code)
+        node = table.take(code)
+        if depth > _BAND_LEVELS:  # a pass per level below the band, after its set-up
+            flat, rows, offset = X.ravel(order="F"), np.arange(n), feature * n
+            for _ in range(depth - _BAND_LEVELS):
+                goes_left = flat.take(offset.take(node) + rows) <= threshold.take(node)
+                node = kids.take(2 * node + goes_left)
         return node.astype(np.int64, copy=False)
 
     def predict(self, X: np.ndarray) -> np.ndarray:

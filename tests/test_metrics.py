@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from delayboost.errors import (
     LengthMismatchError,
@@ -9,6 +13,7 @@ from delayboost.errors import (
 )
 from delayboost.metrics import (
     ConfusionMatrix,
+    RocCurve,
     confusion,
     render_report,
     roc_auc,
@@ -28,6 +33,28 @@ def concordance_auc(y, scores):
             elif p == n:
                 wins += 0.5
     return wins / (len(pos) * len(neg))
+
+
+def reference_roc(y, scores):
+    """(fpr, tpr, thresholds, auroc) by a stable sort of the negated scores.
+
+    Each tied run's threshold is the score of the row the stable sort puts
+    last in the run; `roc_auc` must match it bit for bit, zero signs too.
+    """
+    y = np.asarray(y)
+    s = np.asarray(scores, dtype=np.float64)
+    order = np.argsort(-s, kind="stable")
+    s_sorted, y_sorted = s[order], y[order]
+    last = np.concatenate([np.flatnonzero(s_sorted[1:] != s_sorted[:-1]), [y.size - 1]])
+    tpr = np.concatenate([[0.0], np.cumsum(y_sorted == 1)[last] / (y == 1).sum()])
+    fpr = np.concatenate([[0.0], np.cumsum(y_sorted == 0)[last] / (y == 0).sum()])
+    thresholds = np.concatenate([[math.inf], s_sorted[last]])
+    return fpr, tpr, thresholds, float(np.trapezoid(tpr, fpr))
+
+
+# Zeros of both signs, subnormals of both signs and a few normal values, so
+# draws repeat and tied runs mix -0.0 with +0.0.
+_SCORE_POOL = [-0.0, 0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0, 0.25]
 
 
 class TestConfusion:
@@ -178,6 +205,21 @@ class TestRoc:
         assert lines[1].split(",") == ["inf", "0.0", "0.0"]
         parsed = [tuple(float(v) for v in line.split(",")) for line in lines[1:]]
         assert parsed[-1][1:] == (1.0, 1.0)
+
+
+class TestRocTieOrderProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.sampled_from(_SCORE_POOL)),
+                    min_size=2, max_size=60))
+    def test_equals_the_stable_sort_reference(self, pairs):
+        y, scores = (np.array(c) for c in zip(*pairs))
+        assume(0 < y.sum() < y.size)
+        curve = roc_auc(y, scores)
+        fpr, tpr, thresholds, auroc = reference_roc(y, scores)
+        for got, want in ((curve.fpr, fpr), (curve.tpr, tpr), (curve.thresholds, thresholds)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert curve.auroc == auroc
+        assert curve.to_csv() == RocCurve(fpr, tpr, thresholds, auroc).to_csv()
 
 
 class TestRenderReport:

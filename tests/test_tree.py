@@ -379,26 +379,37 @@ class TestRoutingProperty:
             assert tree.predict(x[None, :])[0] == tree.value[leaf[r]]
 
 
+def _tree_from_spec(spec, n_features):
+    """A tree loaded through `from_doc` from nested specs: a float is a leaf of
+    that value, a tuple (feature, threshold, left, right) an internal node."""
+    nodes = []
+
+    def add(node_spec):
+        node = len(nodes)
+        nodes.append(None)
+        if isinstance(node_spec, tuple):
+            feature, threshold, left, right = node_spec
+            nodes[node] = [feature, threshold, add(left), add(right), None]
+        else:
+            nodes[node] = [-1, None, -1, -1, node_spec]
+        return node
+
+    add(spec)
+    keys = ("feature", "threshold", "left", "right", "value")
+    return RegressionTree.from_doc(dict(zip(keys, map(list, zip(*nodes))), n_features=n_features))
+
+
 @st.composite
 def _hand_built_tree(draw):
     """A random, often unbalanced, tree of depth <= 7 loaded through `from_doc`."""
     d = draw(st.integers(1, 4))
-    nodes = []
 
     def grow(depth):
-        node = len(nodes)
-        nodes.append(None)
         if depth < 7 and draw(st.booleans()):
-            feature, threshold = draw(st.integers(0, d - 1)), draw(_VALUES)
-            nodes[node] = [feature, threshold, grow(depth + 1), grow(depth + 1), None]
-        else:
-            nodes[node] = [-1, None, -1, -1, draw(st.floats(-5.0, 5.0))]
-        return node
+            return (draw(st.integers(0, d - 1)), draw(_VALUES), grow(depth + 1), grow(depth + 1))
+        return draw(st.floats(-5.0, 5.0))
 
-    grow(0)
-    keys = ("feature", "threshold", "left", "right", "value")
-    doc = dict(zip(keys, map(list, zip(*nodes))), n_features=d)
-    return RegressionTree.from_doc(doc)
+    return _tree_from_spec(grow(0), d)
 
 
 @st.composite
@@ -441,6 +452,79 @@ class TestLevelWiseRouting:
             got, want = tree.apply(rows), reference_apply(tree, rows)
             assert got.dtype == want.dtype == np.int64, name
             assert got.tobytes() == want.tobytes(), name
+
+
+def _reference_depths(tree):
+    """Each node's depth, walked one node at a time in preorder."""
+    depths = np.zeros(tree.n_nodes, dtype=np.int64)
+    for node in range(tree.n_nodes):
+        if tree.feature[node] != -1:
+            depths[tree.left[node]] = depths[tree.right[node]] = depths[node] + 1
+    return depths
+
+
+def _assert_routes_as_reference(tree, X):
+    for rows in (X, np.asfortranarray(X), X[:0]):
+        got, want = tree.apply(rows), reference_apply(tree, rows)
+        assert got.dtype == want.dtype == np.int64
+        assert got.tobytes() == want.tobytes()
+    assert tree._node_depth.tobytes() == _reference_depths(tree).tobytes()
+    assert tree.depth == int(_reference_depths(tree).max())
+
+
+# A depth-5 tree whose top three levels end in leaves at depths 1 and 2 and
+# in internal nodes at depth 3.
+_DEEP_SPEC = (0, 0.0,
+              9.0,
+              (1, 0.0,
+               8.0,
+               (2, 0.0,
+                (0, 1.0, (1, 1.0, -2.0, -3.0), -4.0),
+                (2, 1.0, -5.0, -6.0))))
+
+class TestBandEdges:
+    """Rows crossing the edge of the code-routed top levels, against the stack router."""
+
+    def test_full_depth_three_tree_reaches_all_eight_leaves(self):
+        spec = (0, 0.0, *[(1, 0.0, *[(2, 0.0, 1.0, 2.0)] * 2)] * 2)
+        tree = _tree_from_spec(spec, 3)
+        signs = np.array([[a, b, c] for a in (-1.0, 1.0) for b in (-1.0, 1.0) for c in (-1.0, 1.0)])
+        assert tree.depth == 3 and len(tree._routing[0]) == 7
+        assert np.unique(tree.apply(signs)).tolist() == tree.leaf_nodes.tolist()
+        _assert_routes_as_reference(tree, signs)
+
+    def test_depth_five_tree_with_mixed_band_exits(self):
+        tree = _tree_from_spec(_DEEP_SPEC, 3)
+        rng = np.random.default_rng(5)
+        X = rng.integers(-3, 4, size=(400, 3)).astype(float) / 2.0
+        assert tree.depth == 5
+        exits = np.unique(tree._routing[1])
+        # a leaf at depth 1 and at depth 2, and internal nodes at depth 3
+        assert _reference_depths(tree)[exits].tolist() == [1, 2, 3, 3]
+        assert (tree.feature[exits] != -1).tolist() == [False, False, True, True]
+        assert np.unique(tree.apply(X)).tolist() == tree.leaf_nodes.tolist()
+        _assert_routes_as_reference(tree, X)
+
+    def test_depth_zero_tree(self):
+        tree = _tree_from_spec(1.5, 2)
+        _assert_routes_as_reference(tree, np.array([[0.0, np.nan], [np.inf, -1.0]]))
+        assert tree.apply(np.empty((0, 2))).dtype == np.int64
+
+    def test_zero_rows(self):
+        for spec in (1.5, (0, 0.0, 1.0, 2.0), _DEEP_SPEC):
+            tree = _tree_from_spec(spec, 3)
+            got = tree.apply(np.empty((0, 3)))
+            assert got.dtype == np.int64 and got.size == 0
+
+    def test_nan_infinities_and_values_on_a_threshold(self):
+        tree = _tree_from_spec(_DEEP_SPEC, 3)
+        internal = np.flatnonzero(tree.feature != -1)
+        values = [np.nan, np.inf, -np.inf, *np.unique(tree.threshold[internal]).tolist()]
+        X = np.array([[a, b, c] for a in values for b in values for c in values])
+        _assert_routes_as_reference(tree, X)
+        # NaN goes right at every node, to the last leaf in preorder; -inf goes left
+        rows = np.array([[np.nan] * 3, [-np.inf] * 3])
+        assert tree.apply(rows).tolist() == [tree.n_nodes - 1, 1]
 
 
 @st.composite
