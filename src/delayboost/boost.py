@@ -39,7 +39,7 @@ from .errors import (
     InvalidThresholdError,
     SingleClassTrainingError,
 )
-from .tree import RegressionTree, TreeParams, _check_matrix, fit_tree, presort
+from .tree import RegressionTree, TreeParams, Workers, _check_matrix, fit_tree, presort
 
 _NEWTON_GUARD = 1e-12
 # Rows scored per block by `decision_function`: 16k rows of 26 features are
@@ -101,7 +101,7 @@ def mean_deviance(y: np.ndarray, f: np.ndarray) -> float:
     return float(np.mean(np.where(y == 1, np.logaddexp(0.0, -f), np.logaddexp(0.0, f))))
 
 
-def fit_gbc(train: FeatureMatrix, params: BoostParams):
+def fit_gbc(train: FeatureMatrix, params: BoostParams, *, threads: int | None = None):
     """Train a boosted model; returns (BoostedModel, TrainingTrace).
 
     Every round fits its tree on the same matrix, so the matrix's
@@ -110,34 +110,43 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams):
     reuses it.  The fit also returns each row's leaf, over which the round
     takes its Newton steps, so no round routes the training matrix again.
 
+    The fit's `tree.Workers` are started here and joined before it
+    returns: `tree.worker_count(threads)` threads (None: every CPU this
+    process may run on), the caller's among them, share out the
+    per-feature work of `presort` and of every round's split search.  A
+    matrix of fewer than `tree._THREAD_ROWS` rows is fitted on the caller's
+    thread alone.  The model has the same bits whatever `threads` is.
+
     Raises:
         NoFeatureColumnsError: the feature matrix has no columns.
         NonFiniteFeatureError: NaN or infinity in the feature matrix.
         SingleClassTrainingError: training labels are all one class.
+        ValueError: threads below 1.
     """
     X = train.values
     y = train.labels
-    index = presort(X)
-    n_pos = int((y == 1).sum())
-    if n_pos == 0 or n_pos == y.size:
-        raise SingleClassTrainingError("training data must contain both classes")
+    with Workers(threads, train.n_rows) as workers:
+        index = presort(X, threads=workers)
+        n_pos = int((y == 1).sum())
+        if n_pos == 0 or n_pos == y.size:
+            raise SingleClassTrainingError("training data must contain both classes")
 
-    p1 = n_pos / y.size
-    f0 = float(np.log(p1 / (1.0 - p1)))
-    f = np.full(y.size, f0)
+        p1 = n_pos / y.size
+        f0 = float(np.log(p1 / (1.0 - p1)))
+        f = np.full(y.size, f0)
 
-    deviance = [mean_deviance(y, f)]
-    accuracy = [_accuracy(y, f)]
-    trees = []
-    for _ in range(params.estimators):
-        p = sigmoid(f)
-        residual = y - p
-        tree, leaf = fit_tree(X, residual, params.tree_params, index=index)
-        values = _newton_values(tree, leaf, residual, p * (1.0 - p))
-        f += params.learning_rate * values[leaf]
-        trees.append(replace(tree, value=values))
-        deviance.append(mean_deviance(y, f))
-        accuracy.append(_accuracy(y, f))
+        deviance = [mean_deviance(y, f)]
+        accuracy = [_accuracy(y, f)]
+        trees = []
+        for _ in range(params.estimators):
+            p = sigmoid(f)
+            residual = y - p
+            tree, leaf = fit_tree(X, residual, params.tree_params, index=index, threads=workers)
+            values = _newton_values(tree, leaf, residual, p * (1.0 - p))
+            f += params.learning_rate * values[leaf]
+            trees.append(replace(tree, value=values))
+            deviance.append(mean_deviance(y, f))
+            accuracy.append(_accuracy(y, f))
 
     model = BoostedModel(f0, params.learning_rate, tuple(trees), train.plan)
     return model, TrainingTrace(tuple(deviance), tuple(accuracy))

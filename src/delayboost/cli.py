@@ -13,10 +13,13 @@ multiple of 100 is Strategy 2), a model's input schema and the CSV field
 format; subcommands only pass their flags on.  All randomness flows
 from --seed: stage seeds derive as SeedSequence([seed, STAGE]) with STAGE
 1 for oversampling, 2 for the shuffle/split, and 3 for fold construction,
-so reruns with one seed reproduce every stage byte for byte.  --threads caps
-internal parallelism; the implementation runs the deterministic sequential
-schedule regardless, so outputs never depend on it.  Subcommands read their
-settings straight off the parsed arguments.
+so reruns with one seed reproduce every stage byte for byte.  --threads
+(default: every CPU this process may run on, and capped at that count) is
+the number of threads `train` and `tune` fit on; a fit of fewer rows than
+`tree._THREAD_ROWS` runs on one.  The threads share out each fit's
+per-feature work and the winning splits are picked once all of it is done,
+so outputs never depend on --threads.  Subcommands read their settings
+straight off the parsed arguments.
 
 Reports and predictions label a row by `boost.label_scores` at --threshold
 (0.5 for train); a report's AUROC and --roc-out curve share one ROC sweep.
@@ -85,8 +88,7 @@ def _check_flags(args):
     `--grid` and `--smote-percent` are replaced by the `tune.Grid` and the
     `resample.SmoteConfig` (`args.smote`) that the command then uses.
     """
-    if getattr(args, "threads", 1) < 1:
-        raise ValueError("threads must be >= 1")
+    tree.worker_count(getattr(args, "threads", None))
     if getattr(args, "seed", 0) < 0:
         raise ValueError("seed must be >= 0")
     boost.label_scores((), getattr(args, "threshold", 0.5))
@@ -198,7 +200,8 @@ def _pipeline_flags(p):
     p.add_argument("--smote-percent", type=int, default=0)
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int,
+                   help="threads to fit on (default: every CPU this process may run on)")
 
 
 def cmd_synth(args):
@@ -263,7 +266,7 @@ def cmd_balance(args):
 
 def cmd_train(args):
     split = _prepare_split(args)
-    model, trace = boost.fit_gbc(split.train, _boost_params(args))
+    model, trace = boost.fit_gbc(split.train, _boost_params(args), threads=args.threads)
 
     strategy = args.smote.strategy
     metadata = {
@@ -305,6 +308,7 @@ def cmd_tune(args):
         base=_boost_params(args),
         seed=stage_seed(args.seed, FOLD_STAGE),
         metric=args.metric,
+        threads=args.threads,
     )
     print(result.render(), end="")
     if args.report_out:

@@ -21,6 +21,14 @@ squares.  This skips the work a column's structure makes redundant, as the
 sparsity-aware search of XGBoost (section 3.4) does.  `fit_gbc` builds the
 index once per fit and hands it to every round.
 
+Columns are independent in both steps, so a fit's threads share them out:
+each column's argsort in `presort`, and each many-valued column's sort,
+gathers and scans at every level.  Each column writes only its own entries
+of the index and its own row of the level's SSE and threshold tables, and
+every node's split is picked once all rows are filled, so the tree has the
+same bits on any schedule.  A fit of fewer than `_THREAD_ROWS` rows runs on
+the caller's thread alone.
+
 Nodes live in flat parallel arrays (feature, threshold, left, right, value),
 numbered in preorder; leaves have feature -1.
 
@@ -48,6 +56,10 @@ are never serialized.
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -68,6 +80,13 @@ _BAND_LEVELS = 3
 # Low rows per batch of `_two_valued_sums`: its key and weight buffers stay
 # near 1 MiB, and in cache for its three passes, however large the fit.
 _BATCH_ROWS = 1 << 16
+# Fits of fewer rows run on the caller's thread alone.  In a smaller fit
+# the per-feature calls are short, so threads mostly wait on each other for
+# the interpreter lock.  On 2 CPUs a second thread slowed 100 depth-3 trees
+# on 2,800 rows from 1.01 to 1.66 s and 10 depth-5 trees on 8,000 rows from
+# 0.40 to 0.49 s; it broke even near 32k rows and won from 40k (the table
+# is in CHANGES.md).
+_THREAD_ROWS = 32_768
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -244,6 +263,100 @@ class RegressionTree:
         return cls(feature, threshold, left, right, value, n_features)
 
 
+def worker_count(threads: int | None = None) -> int:
+    """The threads a fit may run on: `threads`, capped at the CPUs this process
+    may run on (`os.sched_getaffinity`, or `os.cpu_count()` where that is
+    missing); None means all of them.
+
+    Raises:
+        ValueError: threads below 1.
+    """
+    if threads is not None and threads < 1:
+        raise ValueError("threads must be >= 1")
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    cpus = cpus or 1
+    return cpus if threads is None else min(threads, cpus)
+
+
+class Workers:
+    """The threads that share out a fit's per-feature work; see `each`.
+
+    A fit of at least `_THREAD_ROWS` rows gets `worker_count(threads)`: the
+    caller's thread and helpers started here, which wait for work until
+    `close` (or leaving a `with` block) stops and joins them.  A smaller fit
+    gets the caller's thread alone.  The helpers live as long as the fit,
+    so each allocates from one malloc arena throughout: a thread started
+    for each step can start before the last one has released its arena,
+    and then takes a new one (+4 MB of peak memory in a 107k-row fit).
+    """
+
+    def __init__(self, threads: int | None, n_rows: int):
+        count = worker_count(threads)  # checked however small the fit
+        self.count = count if n_rows >= _THREAD_ROWS else 1
+        self._tasks = queue.SimpleQueue()
+        self._helpers = [threading.Thread(target=self._serve) for _ in range(self.count - 1)]
+        for helper in self._helpers:
+            helper.start()
+
+    def _serve(self):
+        for task in iter(self._tasks.get, None):
+            task()
+
+    def each(self, work, items) -> None:
+        """Call work(item) for every item on every worker and return once every call has.
+
+        Every worker takes the next item until none is left, so the order of
+        the calls depends on the schedule: each call must write only what no
+        other call reads or writes.  An error raised on a helper is raised
+        again here.
+        """
+        todo, lock, done = iter(items), threading.Lock(), queue.SimpleQueue()
+
+        def share():
+            while True:
+                with lock:
+                    item = next(todo, todo)  # the iterator itself marks the end
+                if item is todo:
+                    return
+                work(item)
+
+        def helper_share():
+            try:
+                share()
+            except BaseException as exc:  # raised on the caller's thread below
+                done.put(exc)
+            else:
+                done.put(None)
+
+        for _ in self._helpers:
+            self._tasks.put(helper_share)
+        try:
+            share()
+        finally:
+            errors = [done.get() for _ in self._helpers]
+        for error in errors:
+            if error is not None:
+                raise error
+
+    def close(self) -> None:
+        for _ in self._helpers:
+            self._tasks.put(None)
+        for helper in self._helpers:
+            helper.join()
+
+    def __enter__(self) -> "Workers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _workers(threads, n_rows):
+    """A context for the `Workers` of a fit of n_rows rows: `threads` itself
+    when it is one, left running, else new ones, closed on exit."""
+    return nullcontext(threads) if isinstance(threads, Workers) else Workers(threads, n_rows)
+
+
 @dataclass(frozen=True)
 class ColumnIndex:
     """What a fit knows of its matrix's columns before any tree grows; see `presort`.
@@ -266,16 +379,18 @@ class ColumnIndex:
         return self.low_count > 0
 
 
-def presort(X: np.ndarray) -> ColumnIndex:
+def presort(X: np.ndarray, *, threads: int | Workers | None = None) -> ColumnIndex:
     """The `ColumnIndex` of X: every column argsorted once, its two-valued columns found.
 
     Sorted one column at a time, so no (n, d) int64 temporary is held; the
-    columns of a column-major X are contiguous.
+    columns of a column-major X are contiguous.  The columns are shared out
+    among the fit's `Workers`, as `fit_tree` reads `threads`.
 
     Raises:
         DimensionMismatchError: X is not a 2-D matrix.
         NoFeatureColumnsError: X has no columns, so a tree has nothing to split on.
         NonFiniteFeatureError: NaN or infinity in X.
+        ValueError: threads below 1.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -288,7 +403,8 @@ def presort(X: np.ndarray) -> ColumnIndex:
     order = np.empty((d, X.shape[0]), dtype=np.int32)
     low_count = np.zeros(d, dtype=np.int64)
     threshold = np.full(d, np.nan)
-    for f in range(d):
+
+    def column(f):
         order[f] = np.argsort(X[:, f], kind="stable")
         xs = X[:, f].take(order[f])
         changes = np.flatnonzero(xs[1:] != xs[:-1])
@@ -297,11 +413,19 @@ def presort(X: np.ndarray) -> ColumnIndex:
             # A node's own two values equal these, and the threshold has the
             # same bits whichever sign a zero among them carries.
             threshold[f] = _split_point(xs[c - 1], xs[c])
+
+    with _workers(threads, X.shape[0]) as workers:
+        workers.each(column, range(d))
     return ColumnIndex(order, low_count, threshold)
 
 
 def fit_tree(
-    X: np.ndarray, targets: np.ndarray, params: TreeParams, *, index: ColumnIndex | None = None
+    X: np.ndarray,
+    targets: np.ndarray,
+    params: TreeParams,
+    *,
+    index: ColumnIndex | None = None,
+    threads: int | Workers | None = None,
 ) -> tuple[RegressionTree, np.ndarray]:
     """Fit a least-squares regression tree; returns (tree, each row's leaf id).
 
@@ -315,6 +439,15 @@ def fit_tree(
     rule (`min_samples_leaf`).  Nodes are numbered in preorder: a node, its
     left subtree, its right subtree.
 
+    The per-feature work, each column's argsort in `presort` and each
+    many-valued feature's pass in `_best_splits`, is shared out among the
+    fit's `Workers`.  `threads` is a thread count, as `worker_count` reads
+    it (None: every CPU this process may run on), or the running `Workers`
+    of an enclosing fit, as `fit_gbc` passes them.  A fit of fewer than
+    `_THREAD_ROWS` rows runs on the caller's thread alone.  Each feature
+    fills only its own row of the level's tables, and the winners are
+    picked once all have, so the tree has the same bits on any schedule.
+
     Raises:
         EmptyInputError: no rows.
         DimensionMismatchError: X is not a 2-D matrix, its row count differs
@@ -322,6 +455,7 @@ def fit_tree(
         NonFiniteTargetError: NaN or infinite targets.
         NoFeatureColumnsError, NonFiniteFeatureError: as `presort` raises
             them (only when `index` is None).
+        ValueError: threads below 1.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -333,12 +467,17 @@ def fit_tree(
         raise DimensionMismatchError(f"{X.shape[0]} rows but {t.size} targets")
     if not np.all(np.isfinite(t)):
         raise NonFiniteTargetError("targets contain NaN or infinity")
-    index = presort(X) if index is None else index
-    if index.order.shape != (X.shape[1], X.shape[0]):
-        raise DimensionMismatchError(
-            f"column index has shape {index.order.shape}, expected {(X.shape[1], X.shape[0])}"
-        )
+    with _workers(threads, X.shape[0]) as workers:
+        index = presort(X, threads=workers) if index is None else index
+        if index.order.shape != (X.shape[1], X.shape[0]):
+            raise DimensionMismatchError(
+                f"column index has shape {index.order.shape}, expected {(X.shape[1], X.shape[0])}"
+            )
+        return _grow(X, t, params, index, workers)
 
+
+def _grow(X, t, params, index, workers):
+    """The tree and partition of `fit_tree`, on its checked inputs."""
     # Nodes in creation order, [feature, threshold, left, right, value] each;
     # `level` maps each node of one depth to its ascending row ids, and `leaf`
     # holds creation-order node ids until `_preorder` renumbers them.
@@ -347,7 +486,7 @@ def fit_tree(
     leaf = np.empty(X.shape[0], dtype=np.int64)
     level = {0: np.arange(X.shape[0])}
     for depth in range(params.max_depth + 1):
-        found = (_best_splits(X, t, index, list(level.values()), params)
+        found = (_best_splits(X, t, index, list(level.values()), params, workers)
                  if depth < params.max_depth else [None] * len(level))
         children = {}
         for (node, rows), split in zip(level.items(), found):
@@ -389,7 +528,7 @@ def _preorder(nodes: list, n_features: int):
     ), rank
 
 
-def _best_splits(X, t, index, groups, params):
+def _best_splits(X, t, index, groups, params, workers):
     """Best (feature, threshold), or None, for each group of ascending row ids.
 
     Fills a (feature, group) table of SSEs, and one of thresholds, for the
@@ -404,12 +543,14 @@ def _best_splits(X, t, index, groups, params):
     along the presorted column lays every group's rows out contiguously,
     each group sorted by value and then by row id: exactly its own stable
     argsort.  So every sum and every tie matches a search that sorts each
-    node on its own.  `argmin(axis=0)` takes each group's first minimum, so
-    ties break to the lowest feature, then the lowest threshold.  A group
-    splits only if that minimum is below its own SSE beyond numeric noise.
-    The bound is the group's, the same for every feature, so a search that
-    checked each feature's best in turn would reject all of them or keep the
-    same one.
+    node on its own.  The many-valued features are shared out among
+    `workers`, each feature filling only its own row of the two tables,
+    and `argmin(axis=0)` runs once all have: it takes each group's
+    first minimum, so ties break to the lowest feature, then the lowest
+    threshold, on any schedule.  A group splits only if that minimum is
+    below its own SSE beyond numeric noise.  The bound is the group's, the
+    same for every feature, so a search that checked each feature's best in
+    turn would reject all of them or keep the same one.
     """
     if not groups:
         return []
@@ -433,14 +574,19 @@ def _best_splits(X, t, index, groups, params):
         left_n[slot, group], left_sum[slot, group], left_sq[slot, group],
         size[group], total[group], total_sq[group])
     threshold[two[slot], group] = index.threshold[two[slot]]
-    for f in np.flatnonzero(~index.two_valued):
-        column = index.order[f].astype(np.intp)  # an int32 index is cast at every take
-        grouped = column.take(np.argsort(label.take(column), kind="stable")[: bounds[-1]])
-        xs, ts = X[:, f][grouped], t.take(grouped)
+
+    def scan_feature(f):
+        column = index.order[f]
+        grouped = np.argsort(label.take(column), kind="stable")[: bounds[-1]]
+        grouped[:] = column.take(grouped)  # row ids, in the argsort's intp buffer
+        xs, ts = X[:, f].take(grouped), t.take(grouped)
+        del grouped  # each worker's temporaries are freed before its scans
         for k in scanned:
             lo, hi = bounds[k], bounds[k + 1]
             sse[f, k], threshold[f, k] = _scan(
                 xs[lo:hi], ts[lo:hi], total[k], total_sq[k], params.min_samples_leaf)
+
+    workers.each(scan_feature, np.flatnonzero(~index.two_valued).tolist())
     feature = sse.argmin(axis=0)
     parent = total_sq - total * total / size
     splits = sse[feature, np.arange(n_groups)] < parent - 1e-12 * np.maximum(parent, 1.0)
@@ -521,14 +667,17 @@ def _scan(xs, ts, total, total_sq, min_samples_leaf):
 
     Only boundaries that leave `min_samples_leaf` rows on each side count,
     and (+inf, NaN) means there is none.  Ties break to the lowest threshold.
+    `ts` is overwritten with its running sums.
     """
     n = xs.size
     boundaries = np.flatnonzero(xs[1:] != xs[:-1]) + 1
     boundaries = boundaries[_admissible(boundaries, n, min_samples_leaf)]
     if boundaries.size == 0:
         return np.inf, np.nan
-    sse = _children_sse(
-        boundaries, np.cumsum(ts)[boundaries - 1], np.cumsum(ts * ts)[boundaries - 1],
-        n, total, total_sq)
+    left = boundaries - 1
+    sq = ts * ts
+    left_sq = np.cumsum(sq, out=sq)[left]
+    del sq  # freed before `_children_sse`'s temporaries
+    sse = _children_sse(boundaries, np.cumsum(ts, out=ts)[left], left_sq, n, total, total_sq)
     j = int(np.argmin(sse))  # first minimum = lowest threshold
     return sse[j], _split_point(xs[boundaries[j] - 1], xs[boundaries[j]])

@@ -142,11 +142,15 @@ def grid_search(
     base: BoostParams = BoostParams(),
     seed: int = 0,
     metric: str = "accuracy",
+    *,
+    threads: int | None = None,
 ) -> GridResult:
     """Cross-validate every (estimators, depth) combination on shared folds.
 
     `metric` is "accuracy" or "f1" (positive class), read off `summarize` for
     each held-out fold labelled by `label_scores` at its 0.5 threshold.
+    Every fit runs on `threads` threads, as `fit_gbc` reads it; the result
+    is the same whatever `threads` is.
     """
     if metric not in ("accuracy", "f1"):
         raise DataError(f"unknown metric {metric!r}")
@@ -164,7 +168,7 @@ def grid_search(
                 estimators=grid.estimator_values[-1],
                 tree_params=replace(base.tree_params, max_depth=depth),
             )
-            model, _ = fit_gbc(fit_rows, params)
+            model, _ = fit_gbc(fit_rows, params, threads=threads)
             for estimators, scores in enumerate(staged_scores(model, held_out.values)):
                 if (estimators, depth) in fold_scores:
                     summary = summarize(confusion(held_out.labels, label_scores(scores)))

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import make_matrix, separable_matrix
-from delayboost import boost
+from delayboost import boost, tree
 from delayboost.boost import (
     BoostParams,
     decision_function,
@@ -30,7 +34,8 @@ from delayboost.errors import (
     SingleClassTrainingError,
 )
 from delayboost.model_io import load_model, save_model
-from delayboost.tree import TreeParams, fit_tree
+from delayboost.tree import TreeParams, fit_tree, worker_count
+from delayboost.tune import Grid, grid_search
 
 
 def quick_params(estimators=10, lr=0.1, depth=2):
@@ -370,3 +375,85 @@ class TestPrefixProperty:
         assert staged[-1].tobytes() == decision_function(large, fm.values).tobytes()
         deviance = staged_deviance(large, fm)
         assert deviance.tolist() == [mean_deviance(fm.labels, f) for f in staged]
+
+
+@st.composite
+def _threads_inputs(draw):
+    n = draw(st.integers(4, 60))
+    d = draw(st.integers(1, 4))
+    tied = draw(st.booleans())
+    element = st.integers(-3, 3).map(float) if tied else st.floats(-5.0, 5.0)
+    X = draw(arrays(np.float64, (n, d), elements=element))
+    y = draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+    y[:4] = (0, 1, 0, 1)  # two rows of each class, for two folds
+    return make_matrix(X, y), draw(st.integers(0, 4))
+
+
+class TestThreadsProperty:
+    """Every output has the same bits on 1 to 4 threads, with every fit threaded.
+
+    The row threshold is lowered to 0 and four CPUs are reported whatever
+    the host has, so each threads value runs that many workers, more than
+    cores on a small host; a short switch interval makes them interleave.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(_threads_inputs())
+    def test_fits_scores_and_grid_equal_the_serial_ones(self, inputs):
+        fm, depth = inputs
+        params = quick_params(estimators=4, depth=depth)
+        grid = Grid((1, 3), (1, 3))
+        runs = []
+        interval = sys.getswitchinterval()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tree, "_THREAD_ROWS", 0)
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+            sys.setswitchinterval(1e-5)
+            try:
+                for threads in (1, 2, 3, 4):
+                    assert worker_count(threads) == threads
+                    before = threading.active_count()
+                    model, trace = fit_gbc(fm, params, threads=threads)
+                    assert threading.active_count() == before
+                    one, leaf = fit_tree(fm.values, fm.labels, params.tree_params,
+                                         threads=threads)
+                    doc = grid_search(fm, grid, folds=2, base=params, seed=3, threads=threads)
+                    assert threading.active_count() == before
+                    runs.append((model, trace, decision_function(model, fm.values),
+                                 one.to_doc(), leaf, json.dumps(doc.to_doc())))
+            finally:
+                sys.setswitchinterval(interval)
+        serial, *threaded = runs
+        for run in threaded:
+            model, trace, scores, one, leaf, doc = run
+            assert np.float64(model.f0).tobytes() == np.float64(serial[0].f0).tobytes()
+            assert len(model.trees) == len(serial[0].trees)
+            for a, b in zip(model.trees, serial[0].trees):
+                for name in ("feature", "threshold", "left", "right", "value"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+            assert trace == serial[1]
+            assert scores.tobytes() == serial[2].tobytes()
+            assert json.dumps(one) == json.dumps(serial[3])
+            assert leaf.tobytes() == serial[4].tobytes()
+            assert doc == serial[5]
+
+    def test_repeated_larger_fits_equal_the_serial_one(self, monkeypatch):
+        """A stress test: features wide enough that four workers overlap on them."""
+        rng = np.random.default_rng(5)
+        X = np.column_stack([rng.normal(size=(3000, 4)), rng.integers(0, 9, size=(3000, 4))])
+        y = (X[:, 0] + X[:, 4] + rng.normal(size=3000) > 4).astype(int)
+        fm = make_matrix(X, y)
+        params = quick_params(estimators=3, depth=4)
+        serial, _ = fit_gbc(fm, params, threads=1)
+        monkeypatch.setattr(tree, "_THREAD_ROWS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            fits = [fit_gbc(fm, params, threads=4)[0] for _ in range(10)]
+        finally:
+            sys.setswitchinterval(interval)
+        for threaded in fits:
+            for a, b in zip(threaded.trees, serial.trees):
+                for name in ("feature", "threshold", "left", "right", "value"):
+                    assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name

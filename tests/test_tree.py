@@ -1,3 +1,5 @@
+import os
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +16,7 @@ from delayboost.errors import (
     NonFiniteTargetError,
 )
 from delayboost import tree as tree_module
-from delayboost.tree import RegressionTree, TreeParams, fit_tree, presort
+from delayboost.tree import RegressionTree, TreeParams, Workers, fit_tree, presort, worker_count
 
 
 def brute_force_root_split(X, t, min_samples_leaf=1):
@@ -818,3 +820,55 @@ class TestSerialization:
             TreeParams(min_samples_split=1)
         with pytest.raises(ValueError):
             TreeParams(min_samples_leaf=0)
+
+
+class TestWorkers:
+    def test_threads_are_capped_at_the_cpus_this_process_may_run_on(self):
+        before = threading.active_count()
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert worker_count(10**6) == worker_count(None) == cpus
+        assert worker_count(1) == 1
+        assert threading.active_count() == before
+
+    def test_cpu_count_where_affinity_is_missing(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert (worker_count(None), worker_count(10**6), worker_count(2)) == (3, 3, 2)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable
+        assert worker_count(None) == 1
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match="^threads must be >= 1$"):
+            worker_count(threads)
+        with pytest.raises(ValueError, match="^threads must be >= 1$"):
+            fit_tree(np.zeros((3, 1)), np.zeros(3), TreeParams(), threads=threads)
+
+    def test_a_fit_below_the_row_threshold_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        before = threading.active_count()
+        with Workers(4, tree_module._THREAD_ROWS - 1) as small:
+            assert small.count == 1
+            assert threading.active_count() == before
+        with Workers(4, tree_module._THREAD_ROWS) as large:
+            assert large.count == 4
+            assert threading.active_count() == before + 3
+        assert threading.active_count() == before
+
+    def test_an_error_is_raised_once_every_worker_has_stopped(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        before = threading.active_count()
+        done = []
+
+        def work(item):
+            if item == 5:
+                raise KeyError(item)
+            done.append(item)
+
+        with Workers(4, tree_module._THREAD_ROWS) as workers:
+            with pytest.raises(KeyError):
+                workers.each(work, range(40))
+            assert sorted(done) == [i for i in range(40) if i != 5]
+            workers.each(done.append, range(40, 50))  # the helpers still serve
+        assert sorted(done)[-10:] == list(range(40, 50))
+        assert threading.active_count() == before
