@@ -110,7 +110,8 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams, *, threads: int | None = 
     reuses it.  The fit also returns each row's leaf, over which the round
     takes its Newton steps, so no round routes the training matrix again.
 
-    The fit's `tree.Workers` are started here and joined before it
+    The fit's `tree.Workers` are started here from `threads`, handed to
+    `presort` and to every round's `fit_tree`, and joined before it
     returns: `tree.worker_count(threads)` threads (None: every CPU this
     process may run on), the caller's among them, share out the
     per-feature work of `presort` and of every round's split search.  A
@@ -126,7 +127,7 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams, *, threads: int | None = 
     X = train.values
     y = train.labels
     with Workers(threads, train.n_rows) as workers:
-        index = presort(X, threads=workers)
+        index = presort(X, workers=workers)
         n_pos = int((y == 1).sum())
         if n_pos == 0 or n_pos == y.size:
             raise SingleClassTrainingError("training data must contain both classes")
@@ -141,7 +142,7 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams, *, threads: int | None = 
         for _ in range(params.estimators):
             p = sigmoid(f)
             residual = y - p
-            tree, leaf = fit_tree(X, residual, params.tree_params, index=index, threads=workers)
+            tree, leaf = fit_tree(X, residual, params.tree_params, index=index, workers=workers)
             values = _newton_values(tree, leaf, residual, p * (1.0 - p))
             f += params.learning_rate * values[leaf]
             trees.append(replace(tree, value=values))

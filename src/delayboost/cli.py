@@ -39,7 +39,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import boost, dataset, encode, metrics, model_io, resample, tree, tune
-from .errors import DataError, DelayBoostError, InvalidThresholdError, TrainingError
+from .errors import DataError, DelayBoostError, EmptyInputError, InvalidThresholdError, TrainingError
 
 SMOTE_STAGE = 1
 SPLIT_STAGE = 2
@@ -392,11 +392,17 @@ def _prepare_split(args) -> encode.SplitPair:
 def _load_with_plan(path, model, labelled: bool):
     """Load rows for a model's plan and encode them in prediction mode.
 
-    `labelled` input must have the label column and loses its unlabelled
-    rows; otherwise the label column may be absent and every row is kept.
+    `labelled` input must have the label column and at least one labelled
+    row, and loses its unlabelled rows; otherwise the label column may be
+    absent and every row is kept.
+
+    Raises:
+        EmptyInputError: `labelled` input with no labelled row.
     """
     ds = dataset.load_csv(path, model.plan.schema, missing_label_ok=not labelled)
     cleaned = dataset.drop_missing_labels(ds) if labelled else ds
+    if labelled and cleaned.n_rows == 0:
+        raise EmptyInputError(f"{path}: no row has a label")
     return ds, encode.apply_encoding(cleaned, model.plan, training=False)
 
 

@@ -632,11 +632,16 @@ def synthetic_schema() -> Schema:
     return Schema(tuple(cols), SYNTHETIC_POSITIVE_VALUE)
 
 
-def _check_synthetic_spec(n_rows: int, positive_fraction: float) -> None:
+def _check_synthetic_spec(n_rows: int, positive_fraction: float) -> int:
+    """The number of positive rows of a valid spec; InvalidSpecError otherwise."""
     if n_rows < 10:
         raise InvalidSpecError("n_rows must be >= 10")
     if not 0.0 < positive_fraction < 1.0:
         raise InvalidSpecError("positive_fraction must be in (0, 1)")
+    n_pos = int(round(positive_fraction * n_rows))
+    if not 0 < n_pos < n_rows:
+        raise InvalidSpecError("positive_fraction must leave at least one row in each class")
+    return n_pos
 
 
 def generate_synthetic(n_rows: int, positive_fraction: float, seed: int) -> Dataset:
@@ -652,9 +657,10 @@ def generate_synthetic(n_rows: int, positive_fraction: float, seed: int) -> Data
     identical datasets.
 
     Raises:
-        InvalidSpecError: fewer than 10 rows or a fraction outside (0, 1).
+        InvalidSpecError: fewer than 10 rows, a fraction outside (0, 1), or
+            one that leaves a class with no row.
     """
-    _check_synthetic_spec(n_rows, positive_fraction)
+    n_pos = _check_synthetic_spec(n_rows, positive_fraction)
     rng = np.random.Generator(np.random.PCG64(seed))
 
     columns = [
@@ -671,7 +677,6 @@ def generate_synthetic(n_rows: int, positive_fraction: float, seed: int) -> Data
         + 0.4 * np.sin(2.0 * math.pi * (arr_hours - 8.0) / 24.0)
         + rng.normal(0.0, 0.35, size=n_rows)
     )
-    n_pos = int(round(positive_fraction * n_rows))
     order = np.argsort(risk, kind="stable")
     positive = np.zeros(n_rows, dtype=np.intp)
     positive[order[n_rows - n_pos:]] = 1

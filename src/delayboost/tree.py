@@ -26,8 +26,10 @@ each column's argsort in `presort`, and each many-valued column's sort,
 gathers and scans at every level.  Each column writes only its own entries
 of the index and its own row of the level's SSE and threshold tables, and
 every node's split is picked once all rows are filled, so the tree has the
-same bits on any schedule.  A fit of fewer than `_THREAD_ROWS` rows runs on
-the caller's thread alone.
+same bits on any schedule.  `presort` and `fit_tree` take the running
+`Workers` of a fit, which `fit_gbc` opens from a thread count; without them,
+or in a fit of fewer than `_THREAD_ROWS` rows, they run on the caller's
+thread alone.
 
 Nodes live in flat parallel arrays (feature, threshold, left, right, value),
 numbered in preorder; leaves have feature -1.
@@ -59,7 +61,6 @@ from __future__ import annotations
 import os
 import queue
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -294,9 +295,17 @@ class Workers:
         count = worker_count(threads)  # checked however small the fit
         self.count = count if n_rows >= _THREAD_ROWS else 1
         self._tasks = queue.SimpleQueue()
-        self._helpers = [threading.Thread(target=self._serve) for _ in range(self.count - 1)]
-        for helper in self._helpers:
-            helper.start()
+        self._helpers = []
+        # A helper that fails to start (say, "can't start new thread") stops
+        # and joins the ones started before it, which would wait forever.
+        try:
+            for _ in range(self.count - 1):
+                helper = threading.Thread(target=self._serve)
+                helper.start()
+                self._helpers.append(helper)
+        except BaseException:
+            self.close()
+            raise
 
     def _serve(self):
         for task in iter(self._tasks.get, None):
@@ -351,10 +360,9 @@ class Workers:
         self.close()
 
 
-def _workers(threads, n_rows):
-    """A context for the `Workers` of a fit of n_rows rows: `threads` itself
-    when it is one, left running, else new ones, closed on exit."""
-    return nullcontext(threads) if isinstance(threads, Workers) else Workers(threads, n_rows)
+# The caller's thread alone, for a `presort` or `fit_tree` outside a fit's
+# `Workers`; it starts no helper, so it has nothing to close.
+_SERIAL = Workers(1, 0)
 
 
 @dataclass(frozen=True)
@@ -379,18 +387,18 @@ class ColumnIndex:
         return self.low_count > 0
 
 
-def presort(X: np.ndarray, *, threads: int | Workers | None = None) -> ColumnIndex:
+def presort(X: np.ndarray, *, workers: Workers = _SERIAL) -> ColumnIndex:
     """The `ColumnIndex` of X: every column argsorted once, its two-valued columns found.
 
     Sorted one column at a time, so no (n, d) int64 temporary is held; the
     columns of a column-major X are contiguous.  The columns are shared out
-    among the fit's `Workers`, as `fit_tree` reads `threads`.
+    among `workers`, the running `Workers` of the fit (by default the
+    caller's thread alone).
 
     Raises:
         DimensionMismatchError: X is not a 2-D matrix.
         NoFeatureColumnsError: X has no columns, so a tree has nothing to split on.
         NonFiniteFeatureError: NaN or infinity in X.
-        ValueError: threads below 1.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -414,8 +422,7 @@ def presort(X: np.ndarray, *, threads: int | Workers | None = None) -> ColumnInd
             # same bits whichever sign a zero among them carries.
             threshold[f] = _split_point(xs[c - 1], xs[c])
 
-    with _workers(threads, X.shape[0]) as workers:
-        workers.each(column, range(d))
+    workers.each(column, range(d))
     return ColumnIndex(order, low_count, threshold)
 
 
@@ -425,7 +432,7 @@ def fit_tree(
     params: TreeParams,
     *,
     index: ColumnIndex | None = None,
-    threads: int | Workers | None = None,
+    workers: Workers = _SERIAL,
 ) -> tuple[RegressionTree, np.ndarray]:
     """Fit a least-squares regression tree; returns (tree, each row's leaf id).
 
@@ -440,11 +447,9 @@ def fit_tree(
     left subtree, its right subtree.
 
     The per-feature work, each column's argsort in `presort` and each
-    many-valued feature's pass in `_best_splits`, is shared out among the
-    fit's `Workers`.  `threads` is a thread count, as `worker_count` reads
-    it (None: every CPU this process may run on), or the running `Workers`
-    of an enclosing fit, as `fit_gbc` passes them.  A fit of fewer than
-    `_THREAD_ROWS` rows runs on the caller's thread alone.  Each feature
+    many-valued feature's pass in `_best_splits`, is shared out among
+    `workers`: the running `Workers` of the enclosing fit, as `fit_gbc`
+    passes them, or by default the caller's thread alone.  Each feature
     fills only its own row of the level's tables, and the winners are
     picked once all have, so the tree has the same bits on any schedule.
 
@@ -455,7 +460,6 @@ def fit_tree(
         NonFiniteTargetError: NaN or infinite targets.
         NoFeatureColumnsError, NonFiniteFeatureError: as `presort` raises
             them (only when `index` is None).
-        ValueError: threads below 1.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -467,17 +471,11 @@ def fit_tree(
         raise DimensionMismatchError(f"{X.shape[0]} rows but {t.size} targets")
     if not np.all(np.isfinite(t)):
         raise NonFiniteTargetError("targets contain NaN or infinity")
-    with _workers(threads, X.shape[0]) as workers:
-        index = presort(X, threads=workers) if index is None else index
-        if index.order.shape != (X.shape[1], X.shape[0]):
-            raise DimensionMismatchError(
-                f"column index has shape {index.order.shape}, expected {(X.shape[1], X.shape[0])}"
-            )
-        return _grow(X, t, params, index, workers)
-
-
-def _grow(X, t, params, index, workers):
-    """The tree and partition of `fit_tree`, on its checked inputs."""
+    index = presort(X, workers=workers) if index is None else index
+    if index.order.shape != (X.shape[1], X.shape[0]):
+        raise DimensionMismatchError(
+            f"column index has shape {index.order.shape}, expected {(X.shape[1], X.shape[0])}"
+        )
     # Nodes in creation order, [feature, threshold, left, right, value] each;
     # `level` maps each node of one depth to its ascending row ids, and `leaf`
     # holds creation-order node ids until `_preorder` renumbers them.

@@ -34,7 +34,7 @@ from delayboost.errors import (
     SingleClassTrainingError,
 )
 from delayboost.model_io import load_model, save_model
-from delayboost.tree import TreeParams, fit_tree, worker_count
+from delayboost.tree import TreeParams, Workers, fit_tree, worker_count
 from delayboost.tune import Grid, grid_search
 
 
@@ -415,8 +415,9 @@ class TestThreadsProperty:
                     before = threading.active_count()
                     model, trace = fit_gbc(fm, params, threads=threads)
                     assert threading.active_count() == before
-                    one, leaf = fit_tree(fm.values, fm.labels, params.tree_params,
-                                         threads=threads)
+                    with Workers(threads, fm.n_rows) as workers:
+                        one, leaf = fit_tree(fm.values, fm.labels, params.tree_params,
+                                             workers=workers)
                     doc = grid_search(fm, grid, folds=2, base=params, seed=3, threads=threads)
                     assert threading.active_count() == before
                     runs.append((model, trace, decision_function(model, fm.values),

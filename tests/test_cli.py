@@ -388,6 +388,22 @@ class TestExitCodes:
         assert code == 3 and err == [f"error: {workspace / 'empty.csv'}: empty file, header required"]
         assert not (workspace / "model.json").exists()
 
+    def test_evaluate_without_a_labelled_row_is_3(self, workspace):
+        assert run(*train_args(workspace)) == 0
+        lines = (workspace / "data.csv").read_text().splitlines()
+        label = lines[0].split(",").index("Arr_Del_15")
+        rows = [line.split(",") for line in lines[1:]]
+        for cells in rows:
+            cells[label] = ""
+        unlabelled = workspace / "unlabelled.csv"
+        unlabelled.write_text("\n".join([lines[0]] + [",".join(c) for c in rows]) + "\n")
+        code, err = run_quietly(
+            "evaluate", "--model", workspace / "model.json", "--input", unlabelled,
+            "--report-out", workspace / "eval.json", "--roc-out", workspace / "eval-roc.csv")
+        assert code == 3 and err == [f"error: {unlabelled}: no row has a label"]
+        assert not (workspace / "eval.json").exists()
+        assert not (workspace / "eval-roc.csv").exists()
+
     @pytest.mark.parametrize("command", [
         "evaluate", "predict", "train", "prepare", "corr", "balance", "tune"])
     def test_non_utf8_csv_is_3(self, workspace, command):
@@ -609,6 +625,7 @@ class TestExitCodes:
         ("train", "--train-frac", 0),
         ("synth", "--rows", 5),
         ("synth", "--positive-frac", 1.5),
+        ("synth", "--positive-frac", 0.01),
         ("train", "--smote-percent", 150),
         ("balance", "--smote-percent", -100),
         ("train", "--threads", 0),

@@ -606,6 +606,11 @@ class TestGenerateSynthetic:
             generate_synthetic(100, 0.0, seed=0)
         with pytest.raises(InvalidSpecError):
             generate_synthetic(100, 1.0, seed=0)
+        # fractions that would round one class down to no row
+        with pytest.raises(InvalidSpecError, match="at least one row in each class"):
+            generate_synthetic(50, 0.01, seed=0)
+        with pytest.raises(InvalidSpecError, match="at least one row in each class"):
+            generate_synthetic(50, 0.99, seed=0)
 
 
 class TestSchemaJson:

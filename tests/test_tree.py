@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 from dataclasses import replace
 
@@ -8,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import make_matrix
 from delayboost.errors import (
     DimensionMismatchError,
     EmptyInputError,
@@ -16,6 +20,7 @@ from delayboost.errors import (
     NonFiniteTargetError,
 )
 from delayboost import tree as tree_module
+from delayboost.boost import BoostParams, fit_gbc
 from delayboost.tree import RegressionTree, TreeParams, Workers, fit_tree, presort, worker_count
 
 
@@ -842,7 +847,22 @@ class TestWorkers:
         with pytest.raises(ValueError, match="^threads must be >= 1$"):
             worker_count(threads)
         with pytest.raises(ValueError, match="^threads must be >= 1$"):
-            fit_tree(np.zeros((3, 1)), np.zeros(3), TreeParams(), threads=threads)
+            Workers(threads, 3)
+        fm = make_matrix(np.arange(4.0).reshape(4, 1), [0, 1, 0, 1])
+        with pytest.raises(ValueError, match="^threads must be >= 1$"):
+            fit_gbc(fm, BoostParams(estimators=1), threads=threads)
+
+    def test_a_standalone_fit_starts_no_thread(self, monkeypatch):
+        """Without a fit's `Workers`, `fit_tree` runs on the caller's thread, however large."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+        n = tree_module._THREAD_ROWS
+        X = np.column_stack([np.arange(n, dtype=float) % 7, np.arange(n) % 2])
+        start, started = threading.Thread.start, []
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread) or start(thread))
+        tree, leaf = fit_tree(X, X[:, 0] + X[:, 1], TreeParams(max_depth=2))
+        assert started == []
+        assert np.array_equal(leaf, tree.apply(X))
 
     def test_a_fit_below_the_row_threshold_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
@@ -872,3 +892,36 @@ class TestWorkers:
             workers.each(done.append, range(40, 50))  # the helpers still serve
         assert sorted(done)[-10:] == list(range(40, 50))
         assert threading.active_count() == before
+
+    def test_a_helper_that_fails_to_start_stops_the_started_ones(self):
+        """The second helper's start raises: the first is joined and the error raised.
+
+        Run in a child process, so that a helper left waiting for work fails
+        the test by the timeout rather than keeping the interpreter alive.
+        """
+        script = textwrap.dedent("""
+            import os, threading
+            from delayboost import tree
+            os.sched_getaffinity = lambda pid: set(range(4))
+            start, calls = threading.Thread.start, []
+            def failing_start(thread):
+                calls.append(thread)
+                if len(calls) == 2:
+                    raise RuntimeError("can't start new thread")
+                start(thread)
+            threading.Thread.start = failing_start
+            before = threading.active_count()
+            try:
+                tree.Workers(4, tree._THREAD_ROWS)
+            except RuntimeError as exc:
+                assert str(exc) == "can't start new thread", exc
+            else:
+                raise AssertionError("no error")
+            assert len(calls) == 2, calls
+            assert threading.active_count() == before, threading.active_count()
+        """)
+        src = os.path.dirname(os.path.dirname(tree_module.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", script], env=env, timeout=30,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
