@@ -98,7 +98,7 @@ def mean_deviance(y: np.ndarray, f: np.ndarray) -> float:
     """Mean negative log-likelihood of the logistic model at raw scores f."""
     y = np.asarray(y)
     f = np.asarray(f, dtype=np.float64)
-    return float(np.mean(np.where(y == 1, np.logaddexp(0.0, -f), np.logaddexp(0.0, f))))
+    return float(np.mean(np.logaddexp(0.0, np.where(y == 1, -f, f))))
 
 
 def fit_gbc(train: FeatureMatrix, params: BoostParams, *, threads: int | None = None):

@@ -10,23 +10,23 @@ and `predict` emits labels/probabilities/raw scores for new rows.
 Each pipeline rule lives in the library module that owns it: the one-hot
 and correlation defaults, Strategy 1 at --smote-percent 0 (any positive
 multiple of 100 is Strategy 2), a model's input schema and the CSV field
-format; subcommands only pass their flags on.  All randomness flows
-from --seed: stage seeds derive as SeedSequence([seed, STAGE]) with STAGE
-1 for oversampling, 2 for the shuffle/split, and 3 for fold construction,
-so reruns with one seed reproduce every stage byte for byte.  --threads
+format; subcommands only pass their flags on.  All randomness flows from
+--seed: stage seeds derive as SeedSequence([seed, STAGE]) with STAGE 1 for
+oversampling, 2 for the shuffle/split, and 3 for fold construction, so
+reruns with one seed reproduce every stage byte for byte.  --threads
 (default: every CPU this process may run on, and capped at that count) is
 the number of threads `train` and `tune` fit on; a fit of fewer rows than
 `tree._THREAD_ROWS` runs on one.  The threads share out each fit's
 per-feature work and the winning splits are picked once all of it is done,
-so outputs never depend on --threads.  Subcommands read their settings
-straight off the parsed arguments.
+so outputs never depend on --threads.
 
 Reports and predictions label a row by `boost.label_scores` at --threshold
 (0.5 for train); a report's AUROC and --roc-out curve share one ROC sweep.
 
 Exit codes: 0 success, 2 usage error (also a numeric flag out of range, found
 by the code that owns its rule before any file is read), 3 data error (also a
-malformed schema file), 4 numeric or training error.
+malformed schema file, labelled input with no labelled row, or a --train-frac
+that leaves a split empty), 4 numeric or training error.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ def _check_flags(args):
     """Run each numeric flag through the code that owns its rule.
 
     A rule raises with a message that starts with the argument it checks.
-    `--grid` and `--smote-percent` are replaced by the `tune.Grid` and the
-    `resample.SmoteConfig` (`args.smote`) that the command then uses.
+    The model flags, `--grid` and `--smote-percent` become the command's
+    `boost.BoostParams`, `tune.Grid` and `resample.SmoteConfig`, as
+    `args.params`, `args.grid` and `args.smote`.
     """
     tree.worker_count(getattr(args, "threads", None))
     if getattr(args, "seed", 0) < 0:
@@ -94,10 +95,16 @@ def _check_flags(args):
     boost.label_scores((), getattr(args, "threshold", 0.5))
     if args.command == "synth":
         dataset._check_synthetic_spec(args.rows, args.positive_frac)
+    if args.command == "train":
+        args.params = boost.BoostParams(
+            estimators=args.estimators, learning_rate=args.learning_rate,
+            tree_params=tree.TreeParams(max_depth=args.max_depth,
+                                        min_samples_split=args.min_samples_split,
+                                        min_samples_leaf=args.min_samples_leaf))
     if args.command in ("train", "tune"):
-        _boost_params(args)
         encode._check_train_fraction(args.train_frac)
-    if args.command == "tune":
+    if args.command == "tune":  # the grid sets the estimators and the depth
+        args.params = boost.BoostParams(learning_rate=args.learning_rate)
         tune._check_folds(args.folds)
         args.grid = _parse_grid(args.grid) if args.grid else tune.DEFAULT_GRID
     if args.command in ("balance", "train", "tune"):
@@ -142,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--columns", type=_names, metavar="COL1,COL2",
                    help="default: continuous features + label")
     p.add_argument("--out", help="write CSV here instead of printing a table")
-    p.set_defaults(func=cmd_corr)
+    p.set_defaults(func=cmd_corr, one_hot=())
 
     p = sub.add_parser("balance", help="randomized-SMOTE oversample an encoded matrix")
     p.add_argument("--input", required=True)
@@ -206,10 +213,7 @@ def _pipeline_flags(p):
 
 def cmd_synth(args):
     ds = dataset.generate_synthetic(args.rows, args.positive_frac, args.seed)
-    dataset.write_csv(ds, args.out)
-    if args.schema_out:
-        with open(args.schema_out, "w", encoding="utf-8") as fh:
-            fh.write(ds.schema.to_json() + "\n")
+    _write_dataset(ds, args)
     balance = dataset.class_balance(ds)
     print(f"wrote {ds.n_rows} rows to {args.out} "
           f"(positives={balance.positives}, negatives={balance.negatives})")
@@ -228,19 +232,14 @@ def cmd_prepare(args):
         ds = dataset.drop_columns(ds, args.drop)
     before = ds.n_rows
     ds = dataset.drop_missing_labels(ds)
-    dataset.write_csv(ds, args.out)
-    if args.schema_out:
-        with open(args.schema_out, "w", encoding="utf-8") as fh:
-            fh.write(ds.schema.to_json() + "\n")
+    _write_dataset(ds, args)
     balance = dataset.class_balance(ds)
     print(f"kept {ds.n_rows} of {before} rows "
           f"(negatives={balance.negatives}, positives={balance.positives})")
 
 
 def cmd_corr(args):
-    ds = dataset.drop_missing_labels(dataset.load_csv(args.input, _read_schema(args.schema)))
-    fm = encode.apply_encoding(ds, encode.fit_encoding(ds, one_hot=()))
-    result = encode.pearson_matrix(fm, args.columns or None)
+    result = encode.pearson_matrix(_encoded_matrix(args), args.columns or None)
     if args.out:
         cells = [(np.array(result.names), str)] + [(column, repr) for column in result.matrix.T]
         dataset._write_records(args.out, ["", *result.names], cells, "\n")
@@ -257,16 +256,16 @@ def cmd_corr(args):
 
 def cmd_balance(args):
     fm = _encoded_matrix(args)
-    before = int(fm.labels.sum()), int(fm.n_rows - fm.labels.sum())
+    before = np.bincount(fm.labels, minlength=2)
     fm = resample.random_smote(fm, args.smote)
     _write_matrix(fm, args.out)
-    after = int(fm.labels.sum()), int(fm.n_rows - fm.labels.sum())
-    print(f"label 1: {before[0]} -> {after[0]}; label 0: {before[1]} -> {after[1]}")
+    after = np.bincount(fm.labels, minlength=2)
+    print(f"label 1: {before[1]} -> {after[1]}; label 0: {before[0]} -> {after[0]}")
 
 
 def cmd_train(args):
     split = _prepare_split(args)
-    model, trace = boost.fit_gbc(split.train, _boost_params(args), threads=args.threads)
+    model, trace = boost.fit_gbc(split.train, args.params, threads=args.threads)
 
     strategy = args.smote.strategy
     metadata = {
@@ -305,7 +304,7 @@ def cmd_tune(args):
         split.train,
         grid=args.grid,
         folds=args.folds,
-        base=_boost_params(args),
+        base=args.params,
         seed=stage_seed(args.seed, FOLD_STAGE),
         metric=args.metric,
         threads=args.threads,
@@ -347,21 +346,6 @@ def cmd_predict(args):
     print(f"wrote {labels.size} predictions to {args.out}")
 
 
-def _boost_params(args) -> boost.BoostParams:
-    """The model flags of `train` or `tune`; ValueError names one out of range."""
-    if args.command == "tune":  # the grid sets the estimators and the depth
-        return boost.BoostParams(learning_rate=args.learning_rate)
-    return boost.BoostParams(
-        estimators=args.estimators,
-        learning_rate=args.learning_rate,
-        tree_params=tree.TreeParams(
-            max_depth=args.max_depth,
-            min_samples_split=args.min_samples_split,
-            min_samples_leaf=args.min_samples_leaf,
-        ),
-    )
-
-
 def _read_schema(path) -> dataset.Schema:
     with open(path, encoding="utf-8") as fh:
         try:
@@ -376,8 +360,16 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
+def _labelled_rows(ds: dataset.Dataset, path) -> dataset.Dataset:
+    """ds without its unlabelled rows; EmptyInputError names `path` if none is left."""
+    ds = dataset.drop_missing_labels(ds)
+    if ds.n_rows == 0:
+        raise EmptyInputError(f"{path}: no row has a label")
+    return ds
+
+
 def _encoded_matrix(args) -> encode.FeatureMatrix:
-    ds = dataset.drop_missing_labels(dataset.load_csv(args.input, _read_schema(args.schema)))
+    ds = _labelled_rows(dataset.load_csv(args.input, _read_schema(args.schema)), args.input)
     return encode.apply_encoding(ds, encode.fit_encoding(ds, one_hot=args.one_hot))
 
 
@@ -400,9 +392,7 @@ def _load_with_plan(path, model, labelled: bool):
         EmptyInputError: `labelled` input with no labelled row.
     """
     ds = dataset.load_csv(path, model.plan.schema, missing_label_ok=not labelled)
-    cleaned = dataset.drop_missing_labels(ds) if labelled else ds
-    if labelled and cleaned.n_rows == 0:
-        raise EmptyInputError(f"{path}: no row has a label")
+    cleaned = _labelled_rows(ds, path) if labelled else ds
     return ds, encode.apply_encoding(cleaned, model.plan, training=False)
 
 
@@ -443,6 +433,14 @@ def _write_json(doc, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def _write_dataset(ds: dataset.Dataset, args):
+    """Write ds as the CSV --out and, with --schema-out, its schema as JSON."""
+    dataset.write_csv(ds, args.out)
+    if args.schema_out:
+        with open(args.schema_out, "w", encoding="utf-8") as fh:
+            fh.write(ds.schema.to_json() + "\n")
 
 
 def _write_matrix(fm: encode.FeatureMatrix, path):

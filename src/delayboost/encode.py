@@ -345,14 +345,18 @@ def shuffle_split(fm: FeatureMatrix, train_fraction: float = 0.8, seed: int = 0)
     ``Generator.permutation(n)``.
 
     Raises:
-        TooFewRowsError: fewer than 2 rows.
+        TooFewRowsError: fewer than 2 rows, or a fraction that leaves
+            either side empty.
         DataError: fraction outside (0, 1).
     """
     _check_train_fraction(train_fraction)
     n = fm.n_rows
     if n < 2:
         raise TooFewRowsError("need at least 2 rows to split")
+    cut = int(np.floor(train_fraction * n))
+    if cut in (0, n):
+        raise TooFewRowsError(f"train fraction {train_fraction} of {n} rows leaves "
+                              f"{cut} training and {n - cut} validation rows")
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
-    cut = int(np.floor(train_fraction * n))
     return SplitPair(train=fm.take(perm[:cut]), validation=fm.take(perm[cut:]))

@@ -243,6 +243,19 @@ class TestDeviance:
             dev = np.array(trace.deviance)
             assert np.all(np.diff(dev) <= 1e-9)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_signed_scores_match_both_branches(self, data):
+        # one logaddexp of the score signed by the label gives the same bytes as
+        # evaluating logaddexp(0, -f) and logaddexp(0, f) and keeping one per row
+        n = data.draw(st.integers(1, 40))
+        y = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
+        edges = st.sampled_from([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300])
+        f = data.draw(arrays(np.float64, n, elements=st.one_of(st.floats(), edges)))
+        with np.errstate(invalid="ignore"):  # a NaN score gives a NaN deviance
+            both = np.where(y == 1, np.logaddexp(0.0, -f), np.logaddexp(0.0, f))
+            assert np.float64(mean_deviance(y, f)).tobytes() == np.mean(both).tobytes()
+
     def test_empty_input(self, separable):
         model, _ = fit_gbc(separable, quick_params(estimators=1))
         empty = make_matrix(np.empty((0, 2)), np.empty(0, dtype=int))

@@ -46,6 +46,18 @@ def train_args(ws, **over):
     return out
 
 
+def without_labels(ws):
+    """A copy of ws/data.csv with every label cell blanked; returns its path."""
+    lines = (ws / "data.csv").read_text().splitlines()
+    label = lines[0].split(",").index("Arr_Del_15")
+    rows = [line.split(",") for line in lines[1:]]
+    for cells in rows:
+        cells[label] = ""
+    unlabelled = ws / "unlabelled.csv"
+    unlabelled.write_text("\n".join([lines[0]] + [",".join(c) for c in rows]) + "\n")
+    return unlabelled
+
+
 def run_quietly(*argv):
     """(exit code, stderr lines) of one `cli.main` run, its standard output discarded."""
     err = io.StringIO()
@@ -253,6 +265,18 @@ class TestPipeline:
         assert len(lines) == 4 and "-" in lines[-1]  # a negative value is in the table
         assert {len(line) for line in lines} == {len(lines[0])}, lines
 
+    def test_corr_names_constant_columns_on_stderr(self, tmp_path, capsys):
+        rows = [f"{i},2.5,{int(i % 3 == 0)}" for i in range(6)]
+        (tmp_path / "data.csv").write_text("a,b,y\n" + "\n".join(rows) + "\n")
+        schema = db.Schema((db.Column("a", "continuous"), db.Column("b", "continuous"),
+                            db.Column("y", "label")), "1")
+        (tmp_path / "schema.json").write_text(schema.to_json())
+        assert run("corr", "--input", tmp_path / "data.csv", "--schema", tmp_path / "schema.json",
+                   "--out", tmp_path / "corr.csv") == 0
+        assert capsys.readouterr().err == "constant columns (correlation set to 0): b\n"
+        rows = list(csv.reader(io.StringIO((tmp_path / "corr.csv").read_text())))
+        assert [row[2] for row in rows[1:]] == ["0.0", "0.0", "0.0"]
+
     def test_train_records_the_timestamp(self, workspace):
         assert run(*train_args(workspace, **{"--timestamp": "2019-06-01T00:00:00"})) == 0
         _, metadata = db.load_model(workspace / "model.json")
@@ -390,19 +414,51 @@ class TestExitCodes:
 
     def test_evaluate_without_a_labelled_row_is_3(self, workspace):
         assert run(*train_args(workspace)) == 0
-        lines = (workspace / "data.csv").read_text().splitlines()
-        label = lines[0].split(",").index("Arr_Del_15")
-        rows = [line.split(",") for line in lines[1:]]
-        for cells in rows:
-            cells[label] = ""
-        unlabelled = workspace / "unlabelled.csv"
-        unlabelled.write_text("\n".join([lines[0]] + [",".join(c) for c in rows]) + "\n")
+        unlabelled = without_labels(workspace)
         code, err = run_quietly(
             "evaluate", "--model", workspace / "model.json", "--input", unlabelled,
             "--report-out", workspace / "eval.json", "--roc-out", workspace / "eval-roc.csv")
         assert code == 3 and err == [f"error: {unlabelled}: no row has a label"]
         assert not (workspace / "eval.json").exists()
         assert not (workspace / "eval-roc.csv").exists()
+
+    @pytest.mark.parametrize("rows", ["header-only", "labels-blanked"])
+    @pytest.mark.parametrize("command", ["train", "tune", "balance", "balance-0", "corr"])
+    def test_input_without_a_labelled_row_is_3(self, workspace, command, rows):
+        # each labelled subcommand drops unlabelled rows by one rule, and a file
+        # with none left is a data error that names it, before any output is written
+        if rows == "header-only":
+            bad = workspace / "header.csv"
+            bad.write_text((workspace / "data.csv").read_text().splitlines()[0] + "\n")
+        else:
+            bad = without_labels(workspace)
+        outputs = [workspace / name for name in ("model.json", "report.json", "roc.csv", "out")]
+        data = ["--input", bad, "--schema", workspace / "schema.json"]
+        argv = {
+            "train": train_args(workspace, **{"--input": bad}),
+            "tune": ["tune", *data, "--grid", "2x1", "--folds", 2,
+                     "--report-out", workspace / "report.json"],
+            "balance": ["balance", *data, "--out", workspace / "out"],
+            "balance-0": ["balance", *data, "--smote-percent", 0, "--out", workspace / "out"],
+            "corr": ["corr", *data, "--out", workspace / "out"],
+        }[command]
+        code, err = run_quietly(*argv)
+        assert code == 3 and err == [f"error: {bad}: no row has a label"]
+        assert not any(path.exists() for path in outputs)
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--estimators", 3, "--model-out", "m.json", "--report-out", "r.json"]),
+        ("tune", ["--grid", "2x1", "--folds", 2, "--report-out", "r.json"]),
+    ])
+    def test_train_frac_that_leaves_no_training_row_is_3(
+            self, workspace, monkeypatch, command, flags):
+        # floor(0.001 * 150) is 0: the data and the flag are at fault, not the fit
+        monkeypatch.chdir(workspace)
+        code, err = run_quietly(command, "--input", "data.csv", "--schema", "schema.json",
+                                "--train-frac", 0.001, *flags)
+        assert code == 3 and err == [
+            "error: train fraction 0.001 of 150 rows leaves 0 training and 150 validation rows"]
+        assert not (workspace / "m.json").exists() and not (workspace / "r.json").exists()
 
     @pytest.mark.parametrize("command", [
         "evaluate", "predict", "train", "prepare", "corr", "balance", "tune"])

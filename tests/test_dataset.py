@@ -149,6 +149,10 @@ class TestColumns:
             Dataset(TWO_COL, ([930.0],))
         with pytest.raises(ValueError):
             Dataset(TWO_COL, ([930.0], ["1", "0"]))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Dataset(TWO_COL, ([[930.0]], ["1"]))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            dataset.CodedColumn(("0", "1"), [[0, 1]])
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinity_in_a_continuous_column(self, value):

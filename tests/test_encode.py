@@ -420,9 +420,13 @@ class TestColumnMajorProperty:
         if X.shape[0] < 2:
             return
         fm = make_matrix(X, y)
+        cut = int(np.floor(fraction * X.shape[0]))
+        if cut in (0, X.shape[0]):  # a side would be empty
+            with pytest.raises(TooFewRowsError, match="train fraction"):
+                shuffle_split(fm, fraction, seed=seed)
+            return
         pair = shuffle_split(fm, fraction, seed=seed)
         perm = np.random.Generator(np.random.PCG64(seed)).permutation(X.shape[0])
-        cut = int(np.floor(fraction * X.shape[0]))
         for part, rows in ((pair.train, perm[:cut]), (pair.validation, perm[cut:])):
             assert part.plan is fm.plan and part.column_names == fm.plan.output_names
             assert part.values.flags.f_contiguous
@@ -529,6 +533,13 @@ class TestShuffleSplit:
         fm = make_matrix([[1.0]], [1])
         with pytest.raises(TooFewRowsError):
             shuffle_split(fm, 0.8, seed=0)
+
+    @pytest.mark.parametrize("n, frac", [(10, 0.05), (2, 0.4), (300, 0.001)])
+    def test_no_training_row_is_too_few_rows(self, n, frac):
+        fm = make_matrix(np.arange(float(n)).reshape(n, 1), [0, 1] * (n // 2))
+        with pytest.raises(TooFewRowsError, match=(
+                f"^train fraction {frac} of {n} rows leaves 0 training and {n} validation rows$")):
+            shuffle_split(fm, frac, seed=0)
 
     def test_bad_fraction(self):
         fm = make_matrix([[1.0], [2.0]], [0, 1])

@@ -199,6 +199,8 @@ class TestFitTrivial:
         X = np.arange(4.0).reshape(shape)
         with pytest.raises(DimensionMismatchError):
             fit_tree(X, [0.0, 0.0, 1.0, 1.0], TreeParams())
+        with pytest.raises(DimensionMismatchError, match="expected a 2-D feature matrix"):
+            presort(X)
 
 
 class TestPredict:
@@ -772,6 +774,9 @@ class TestSerialization:
             RegressionTree.from_doc(bad)
         bad = dict(doc, value=doc["value"][:-1])
         with pytest.raises(ValueError):
+            RegressionTree.from_doc(bad)
+        bad = dict(doc, **dict.fromkeys(("feature", "threshold", "left", "right", "value"), []))
+        with pytest.raises(ValueError, match="^tree has no nodes$"):
             RegressionTree.from_doc(bad)
 
     @pytest.mark.parametrize(
