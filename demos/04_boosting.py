@@ -1,8 +1,9 @@
 """Train the gradient boosting classifier and watch the loss fall.
 
 Training starts from the log-odds prior and adds one shallow regression tree
-per round, each fit to the current residuals y - p.  Leaf values carry a
-one-step Newton line search, and the learning rate shrinks every tree's
+per round, each fit to the current residuals y - p.  The tree fit gives every
+leaf its one-step Newton value sum(y - p) / sum(p(1 - p)) over the leaf's rows
+as the leaf is formed, and the learning rate shrinks every tree's
 contribution.  The training deviance never increases from round to round.
 """
 

@@ -3,8 +3,8 @@
 Training starts from the log-odds prior f0 = log(p1 / (1 - p1)) and runs M
 rounds of functional gradient descent.  Each round fits a least-squares tree
 to the residuals r_i = y_i - sigmoid(f(x_i)), the negative gradient of the
-deviance, then replaces every leaf value with the one-step Newton optimum for
-that leaf,
+deviance, each leaf of which `fit_tree` sets to the one-step Newton optimum
+for its region (weights p(1 - p)),
 
     gamma_L = sum_{i in L} r_i / sum_{i in L} p_i (1 - p_i),
 
@@ -29,19 +29,14 @@ sigmoid(score) >= the threshold, which must lie in (0, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .encode import EncodingPlan, FeatureMatrix
-from .errors import (
-    EmptyInputError,
-    InvalidThresholdError,
-    SingleClassTrainingError,
-)
+from .errors import EmptyInputError, InvalidThresholdError, SingleClassTrainingError
 from .tree import RegressionTree, TreeParams, Workers, _check_matrix, fit_tree, presort
 
-_NEWTON_GUARD = 1e-12
 # Rows scored per block by `decision_function`: 16k rows of 26 features are
 # ~3.4 MB, copied column-major once by `staged_scores` and kept in cache while
 # every tree is added.
@@ -107,8 +102,8 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams, *, threads: int | None = 
     Every round fits its tree on the same matrix, so the matrix's
     `ColumnIndex` is built once here (`presort`: each column argsorted, its
     two-valued columns found, X checked finite) and every round's `fit_tree`
-    reuses it.  The fit also returns each row's leaf, over which the round
-    takes its Newton steps, so no round routes the training matrix again.
+    reuses it.  The fit sets each leaf's Newton value and returns each row's
+    leaf, so no round routes the training matrix again.
 
     The fit's `tree.Workers` are started here from `threads`, handed to
     `presort` and to every round's `fit_tree`, and joined before it
@@ -142,31 +137,16 @@ def fit_gbc(train: FeatureMatrix, params: BoostParams, *, threads: int | None = 
         for _ in range(params.estimators):
             p = sigmoid(f)
             residual = y - p
-            tree, leaf = fit_tree(X, residual, params.tree_params, index=index, workers=workers)
-            values = _newton_values(tree, leaf, residual, p * (1.0 - p))
-            f += params.learning_rate * values[leaf]
-            trees.append(replace(tree, value=values))
+            p *= 1.0 - p  # the Newton weights p(1 - p), in p's buffer
+            tree, leaf = fit_tree(X, residual, params.tree_params, weights=p, index=index,
+                                  workers=workers)
+            f += params.learning_rate * tree.value[leaf]
+            trees.append(tree)
             deviance.append(mean_deviance(y, f))
             accuracy.append(_accuracy(y, f))
 
     model = BoostedModel(f0, params.learning_rate, tuple(trees), train.plan)
     return model, TrainingTrace(tuple(deviance), tuple(accuracy))
-
-
-def _newton_values(tree: RegressionTree, leaf, residual, weight) -> np.ndarray:
-    """The tree's node values with each leaf's one-step Newton value.
-
-    A leaf's value is the sum of its rows' residuals over the sum of their
-    weights p(1 - p).  Where that weight sum is below `_NEWTON_GUARD`, as
-    when the leaf's scores are saturated, the value is 0: the ratio of two
-    vanishing sums is noise.
-    """
-    values = tree.value.copy()
-    for node in tree.leaf_nodes:
-        rows = leaf == node
-        denom = weight[rows].sum()
-        values[node] = residual[rows].sum() / denom if denom >= _NEWTON_GUARD else 0.0
-    return values
 
 
 def _accuracy(y, f) -> float:

@@ -25,8 +25,8 @@ Reports and predictions label a row by `boost.label_scores` at --threshold
 
 Exit codes: 0 success, 2 usage error (also a numeric flag out of range, found
 by the code that owns its rule before any file is read), 3 data error (also a
-malformed schema file, labelled input with no labelled row, or a --train-frac
-that leaves a split empty), 4 numeric or training error.
+malformed schema file, labelled input with no labelled row or of one class,
+or a --train-frac that leaves a split empty), 4 numeric or training error.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import boost, dataset, encode, metrics, model_io, resample, tree, tune
-from .errors import DataError, DelayBoostError, EmptyInputError, InvalidThresholdError, TrainingError
+from .errors import (DataError, DelayBoostError, EmptyInputError, InvalidThresholdError,
+                     SingleClassInputError, TrainingError)
 
 SMOTE_STAGE = 1
 SPLIT_STAGE = 2
@@ -369,7 +370,13 @@ def _labelled_rows(ds: dataset.Dataset, path) -> dataset.Dataset:
 
 
 def _encoded_matrix(args) -> encode.FeatureMatrix:
+    """The labelled rows of --input, encoded; a data error naming the file
+    unless they hold both classes, which also takes two rows or more."""
     ds = _labelled_rows(dataset.load_csv(args.input, _read_schema(args.schema)), args.input)
+    counts = dataset.class_balance(ds)
+    if 0 in (counts.negatives, counts.positives):
+        raise SingleClassInputError(f"{args.input}: need labelled rows of both classes, got "
+                                    f"{counts.negatives} negative and {counts.positives} positive")
     return encode.apply_encoding(ds, encode.fit_encoding(ds, one_hot=args.one_hot))
 
 

@@ -112,7 +112,7 @@ class LengthMismatchError(DataError):
 
 
 class SingleClassInputError(DataError):
-    """ROC analysis requires both classes to be present."""
+    """Labelled input holds one class only where both are needed (ROC, or CLI training input)."""
 
 
 class NonFiniteScoreError(DataError):

@@ -34,8 +34,8 @@ thread alone.
 Nodes live in flat parallel arrays (feature, threshold, left, right, value),
 numbered in preorder; leaves have feature -1.
 
-`fit_tree` also returns the partition it grew: each training row's leaf id,
-so `fit_gbc` takes its Newton steps over the rows the fit already placed.
+`fit_tree` values each leaf as it forms, from the row ids the level holds,
+and returns the partition it grew: each training row's leaf id.
 
 `fit_tree` reads X one column at a time (`presort`, and each many-valued
 feature's gather in `_best_splits`), so a column-major X, as every
@@ -88,6 +88,7 @@ _BATCH_ROWS = 1 << 16
 # 0.40 to 0.49 s; it broke even near 32k rows and won from 40k (the table
 # is in CHANGES.md).
 _THREAD_ROWS = 32_768
+_WEIGHT_GUARD = 1e-12  # a leaf whose weights sum below this is valued 0.0
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -431,13 +432,17 @@ def fit_tree(
     targets: np.ndarray,
     params: TreeParams,
     *,
+    weights: np.ndarray | None = None,
     index: ColumnIndex | None = None,
     workers: Workers = _SERIAL,
 ) -> tuple[RegressionTree, np.ndarray]:
     """Fit a least-squares regression tree; returns (tree, each row's leaf id).
 
-    Leaf value = mean of its targets.  `index` is `presort(X)`, built here
-    when not given.  The tree grows one level at a time, each level's split
+    A leaf's value is sum(t) / sum(w) over its rows in ascending row id, or
+    0.0 where sum(w) < `_WEIGHT_GUARD` (a ratio of vanishing sums is noise);
+    `weights=None` weighs each row 1, which gives `np.mean`'s bits.  Weights
+    set leaf values, never splits.  `index` is `presort(X)`, built here when
+    not given.  The tree grows one level at a time, each level's split
     search taking one pass per many-valued column and three `np.bincount`
     calls for all two-valued ones, yet the result equals a recursive search
     that argsorts every column at every node, bit for bit.  Every node
@@ -456,8 +461,8 @@ def fit_tree(
     Raises:
         EmptyInputError: no rows.
         DimensionMismatchError: X is not a 2-D matrix, its row count differs
-            from the target length, or `index.order` is not shaped (d, n).
-        NonFiniteTargetError: NaN or infinite targets.
+            from the target or weights length, or `index.order` is not shaped (d, n).
+        NonFiniteTargetError: NaN or infinite targets, or NaN, infinite or negative weights.
         NoFeatureColumnsError, NonFiniteFeatureError: as `presort` raises
             them (only when `index` is None).
     """
@@ -471,6 +476,11 @@ def fit_tree(
         raise DimensionMismatchError(f"{X.shape[0]} rows but {t.size} targets")
     if not np.all(np.isfinite(t)):
         raise NonFiniteTargetError("targets contain NaN or infinity")
+    w = np.ones(t.size) if weights is None else np.asarray(weights, dtype=np.float64)
+    if w.shape != t.shape:
+        raise DimensionMismatchError(f"{t.size} targets but weights of shape {w.shape}")
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise NonFiniteTargetError("weights contain NaN, infinity or a negative value")
     index = presort(X, workers=workers) if index is None else index
     if index.order.shape != (X.shape[1], X.shape[0]):
         raise DimensionMismatchError(
@@ -489,7 +499,8 @@ def fit_tree(
         children = {}
         for (node, rows), split in zip(level.items(), found):
             if split is None:
-                nodes[node][4] = float(t[rows].mean())
+                weight = w[rows].sum()
+                nodes[node][4] = float(t[rows].sum() / weight) if weight >= _WEIGHT_GUARD else 0.0
                 leaf[rows] = node
                 continue
             feature, threshold = split

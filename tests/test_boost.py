@@ -252,7 +252,9 @@ class TestDeviance:
         y = data.draw(arrays(np.int64, n, elements=st.integers(0, 1)))
         edges = st.sampled_from([0.0, -0.0, 700.0, -700.0, 1e-300, -1e-300])
         f = data.draw(arrays(np.float64, n, elements=st.one_of(st.floats(), edges)))
-        with np.errstate(invalid="ignore"):  # a NaN score gives a NaN deviance
+        # a NaN score gives a NaN deviance, and the sum of many huge finite
+        # deviances overflows to inf on both sides alike
+        with np.errstate(invalid="ignore", over="ignore"):
             both = np.where(y == 1, np.logaddexp(0.0, -f), np.logaddexp(0.0, f))
             assert np.float64(mean_deviance(y, f)).tobytes() == np.mean(both).tobytes()
 
@@ -300,14 +302,14 @@ class TestDegenerateLeaf:
 
 class TestNewtonGuard:
     def test_saturated_leaf_gets_zero(self):
-        tree, leaf = fit_tree(np.array([[0.0], [1.0]]), [0.0, 1.0], TreeParams(max_depth=1))
         y = np.array([0, 1])
         p = sigmoid(np.array([0.0, 30.0]))  # the second row's leaf is saturated
         residual, weight = y - p, p * (1.0 - p)
-        assert 0.0 < weight[1] < boost._NEWTON_GUARD
+        assert 0.0 < weight[1] < tree._WEIGHT_GUARD
         assert residual[1] / weight[1] > 0.5  # what the step would be without the guard
-        values = boost._newton_values(tree, leaf, residual, weight)
-        assert values[leaf].tolist() == [-2.0, 0.0]
+        fitted, leaf = fit_tree(np.array([[0.0], [1.0]]), residual, TreeParams(max_depth=1),
+                                weights=weight)
+        assert fitted.value[leaf].tolist() == [-2.0, 0.0]
 
 
 class TestNewtonStep:

@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import io
+import itertools
 import json
 
 import numpy as np
@@ -9,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delayboost as db
-from conftest import header_names, write_replaced
-from delayboost.cli import SMOTE_STAGE, _load_with_plan, _write_matrix, main, stage_seed
+from conftest import header_names, make_matrix, write_replaced
+from delayboost.cli import (
+    SMOTE_STAGE,
+    SPLIT_STAGE,
+    _load_with_plan,
+    _write_matrix,
+    main,
+    stage_seed,
+)
 from delayboost.model_io import _plan_digest
 
 
@@ -46,16 +54,41 @@ def train_args(ws, **over):
     return out
 
 
-def without_labels(ws):
-    """A copy of ws/data.csv with every label cell blanked; returns its path."""
+def relabelled(ws, name, labels, n_rows=None):
+    """A copy ws/name of the first n_rows rows of ws/data.csv (all by default),
+    whose label cells are the texts `labels` yields in turn; returns its path."""
     lines = (ws / "data.csv").read_text().splitlines()
     label = lines[0].split(",").index("Arr_Del_15")
-    rows = [line.split(",") for line in lines[1:]]
-    for cells in rows:
-        cells[label] = ""
-    unlabelled = ws / "unlabelled.csv"
-    unlabelled.write_text("\n".join([lines[0]] + [",".join(c) for c in rows]) + "\n")
-    return unlabelled
+    rows = [line.split(",") for line in lines[1:]][:n_rows]
+    for cells, text in zip(rows, labels):
+        cells[label] = text
+    path = ws / name
+    path.write_text("\n".join([lines[0]] + [",".join(c) for c in rows]) + "\n")
+    return path
+
+
+def without_labels(ws):
+    """A copy of ws/data.csv with every label cell blanked; returns its path."""
+    return relabelled(ws, "unlabelled.csv", itertools.repeat(""))
+
+
+def labelled_command(ws, command, data_file):
+    """The argv of a labelled subcommand on data_file; it writes only labelled_outputs(ws).
+
+    "balance-0" is `balance` at --smote-percent 0, which writes the matrix as it is."""
+    data = ["--input", data_file, "--schema", ws / "schema.json"]
+    return {
+        "train": train_args(ws, **{"--input": data_file}),
+        "tune": ["tune", *data, "--grid", "2x1", "--folds", 2, "--report-out", ws / "report.json"],
+        "balance": ["balance", *data, "--out", ws / "out"],
+        "balance-0": ["balance", *data, "--smote-percent", 0, "--out", ws / "out"],
+        "corr": ["corr", *data, "--out", ws / "out"],
+    }[command]
+
+
+def labelled_outputs(ws):
+    """Every file a `labelled_command` may write."""
+    return [ws / name for name in ("model.json", "report.json", "roc.csv", "out")]
 
 
 def run_quietly(*argv):
@@ -432,19 +465,25 @@ class TestExitCodes:
             bad.write_text((workspace / "data.csv").read_text().splitlines()[0] + "\n")
         else:
             bad = without_labels(workspace)
-        outputs = [workspace / name for name in ("model.json", "report.json", "roc.csv", "out")]
-        data = ["--input", bad, "--schema", workspace / "schema.json"]
-        argv = {
-            "train": train_args(workspace, **{"--input": bad}),
-            "tune": ["tune", *data, "--grid", "2x1", "--folds", 2,
-                     "--report-out", workspace / "report.json"],
-            "balance": ["balance", *data, "--out", workspace / "out"],
-            "balance-0": ["balance", *data, "--smote-percent", 0, "--out", workspace / "out"],
-            "corr": ["corr", *data, "--out", workspace / "out"],
-        }[command]
-        code, err = run_quietly(*argv)
+        code, err = run_quietly(*labelled_command(workspace, command, bad))
         assert code == 3 and err == [f"error: {bad}: no row has a label"]
-        assert not any(path.exists() for path in outputs)
+        assert not any(path.exists() for path in labelled_outputs(workspace))
+
+    @pytest.mark.parametrize("rows, label, counts", [
+        ("one-row", "1.00", "0 negative and 1 positive"),
+        ("one-class", "0.00", "150 negative and 0 positive"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "tune", "balance", "balance-0", "corr"])
+    def test_input_of_one_class_is_3(self, workspace, command, rows, label, counts):
+        # one row, or rows of one class, cannot be fitted, balanced or
+        # correlated with the label: a data error naming the file, before
+        # any output is written
+        bad = relabelled(workspace, f"{rows}.csv", itertools.repeat(label),
+                         1 if rows == "one-row" else None)
+        code, err = run_quietly(*labelled_command(workspace, command, bad))
+        assert code == 3
+        assert err == [f"error: {bad}: need labelled rows of both classes, got {counts}"]
+        assert not any(path.exists() for path in labelled_outputs(workspace))
 
     @pytest.mark.parametrize("command, flags", [
         ("train", ["--estimators", 3, "--model-out", "m.json", "--report-out", "r.json"]),
@@ -582,20 +621,17 @@ class TestExitCodes:
         )
         assert code == 3
 
-    def test_training_error_is_4(self, workspace, capsys):
-        # single-class input: log-odds prior undefined
-        data = (workspace / "data.csv").read_text().splitlines()
-        idx = data[0].split(",").index("Arr_Del_15")
-        rows = [data[0]]
-        for line in data[1:]:
-            cells = line.split(",")
-            cells[idx] = "0.00"
-            rows.append(",".join(cells))
-        (workspace / "oneclass.csv").write_text("\n".join(rows) + "\n")
-        code = run(*train_args(workspace, **{
-            "--input": workspace / "oneclass.csv", "--smote-percent": 0}))
-        assert code == 4
-        assert "error:" in capsys.readouterr().err
+    def test_training_error_is_4(self, workspace):
+        # the file holds both classes, but its one positive row lands in the
+        # validation split: the training split's log-odds prior is undefined
+        ids = make_matrix(np.arange(150.0)[:, None], np.zeros(150, dtype=np.int64))
+        split = db.shuffle_split(ids, 0.8, seed=stage_seed(3, SPLIT_STAGE))
+        positive = int(split.validation.values[0, 0])
+        labels = ["1.00" if i == positive else "0.00" for i in range(150)]
+        bad = relabelled(workspace, "one-positive.csv", labels)
+        code, err = run_quietly(*train_args(workspace, **{"--input": bad, "--smote-percent": 0}))
+        assert code == 4 and err == ["error: training data must contain both classes"]
+        assert not (workspace / "model.json").exists()
 
     def test_third_label_value_is_3(self, workspace, capsys):
         assert run(*train_args(workspace)) == 0

@@ -193,6 +193,16 @@ class TestFitTrivial:
         with pytest.raises(DimensionMismatchError):
             fit_tree([[1.0], [2.0]], [1.0], TreeParams())
 
+    @pytest.mark.parametrize("weights", [[1.0], [1.0, 1.0, 1.0], [[1.0], [1.0]], 1.0])
+    def test_weights_not_one_per_row_rejected(self, weights):
+        with pytest.raises(DimensionMismatchError, match="weights of shape"):
+            fit_tree([[1.0], [2.0]], [1.0, 2.0], TreeParams(), weights=weights)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0, -1e-300])
+    def test_non_finite_or_negative_weights_rejected(self, bad):
+        with pytest.raises(NonFiniteTargetError, match="weights contain"):
+            fit_tree([[1.0], [2.0]], [1.0, 2.0], TreeParams(), weights=[1.0, bad])
+
     @pytest.mark.parametrize("shape", [(4,), (4, 1, 1)])
     def test_non_matrix_input_rejected(self, shape):
         # scoring rejects these shapes, so fitting must too
@@ -640,6 +650,39 @@ def _two_valued_inputs(draw):
         min_samples_leaf=draw(st.integers(1, 8)),
     )
     return X, t, params
+
+
+def masked_leaf_values(tree, leaf, t, w):
+    """tree's node values with each leaf's sum(t) / sum(w) over its rows, found
+    by a full-length mask, or 0.0 where sum(w) < 1e-12: the rule `fit_tree`'s
+    leaf values must equal bit for bit."""
+    values = tree.value.copy()
+    for node in tree.leaf_nodes:
+        rows = leaf == node
+        denom = w[rows].sum()
+        values[node] = t[rows].sum() / denom if denom >= 1e-12 else 0.0
+    return values
+
+
+class TestWeightedLeafProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_two_valued_inputs(), st.integers(0, 6), st.data())
+    def test_leaves_are_masked_weighted_means_on_the_unweighted_splits(self, inputs, depth, data):
+        X, t, params = inputs
+        params = replace(params, max_depth=depth)
+        # zeros, and weights small enough that a leaf's sum falls below the guard
+        weight = st.one_of(st.sampled_from([0.0, 1e-14, 4e-13, 1e-12]), st.floats(0.0, 2.0))
+        w = data.draw(arrays(np.float64, t.size, elements=weight))
+        plain, plain_leaf = fit_tree(X, t, params)
+        weighted, leaf = fit_tree(X, t, params, weights=w)
+        for name in ("feature", "threshold", "left", "right"):
+            assert getattr(weighted, name).tobytes() == getattr(plain, name).tobytes(), name
+        assert leaf.tobytes() == plain_leaf.tobytes()
+        assert weighted.value.tobytes() == masked_leaf_values(weighted, leaf, t, w).tobytes()
+        means = plain.value.copy()
+        for node in plain.leaf_nodes:
+            means[node] = t[plain_leaf == node].mean()
+        assert plain.value.tobytes() == means.tobytes()
 
 
 class TestTwoValuedOracleProperty:
