@@ -79,13 +79,14 @@ class TrainingTrace:
 
 
 def sigmoid(f):
-    """Numerically stable logistic function; no overflow for any finite score."""
+    """Logistic function: 1 / (1 + e) where f >= 0, else e / (1 + e), for e = exp(-|f|).
+
+    Its one `np.exp` takes arguments <= 0 only, so it never overflows."""
     f = np.asarray(f, dtype=np.float64)
-    out = np.empty_like(f)
     pos = f >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-f[pos]))
-    ef = np.exp(f[~pos])
-    out[~pos] = ef / (1.0 + ef)
+    e = np.exp(np.where(pos, -f, f))
+    out = np.where(pos, 1.0, e)
+    out /= 1.0 + e
     return out
 
 

@@ -27,11 +27,15 @@ Exit codes: 0 success, 2 usage error (also a numeric flag out of range, found
 by the code that owns its rule before any file is read), 3 data error (also a
 malformed schema file, labelled input with no labelled row or of one class,
 or a --train-frac that leaves a split empty), 4 numeric or training error.
+A data error in an input names its file, a class too small for SMOTE or for
+tune's folds among them (tune counts the rows of its training split); a
+missing cell also names its data row in the file, counted from 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -39,7 +43,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import boost, dataset, encode, metrics, model_io, resample, tree, tune
-from .errors import (DataError, DelayBoostError, EmptyInputError, InvalidThresholdError,
+from .errors import (ClassTooSmallForFoldsError, DataError, DelayBoostError, EmptyInputError,
+                     InvalidThresholdError, MinorityTooSmallError, MissingCellError,
                      SingleClassInputError, TrainingError)
 
 SMOTE_STAGE = 1
@@ -258,7 +263,7 @@ def cmd_corr(args):
 def cmd_balance(args):
     fm = _encoded_matrix(args)
     before = np.bincount(fm.labels, minlength=2)
-    fm = resample.random_smote(fm, args.smote)
+    fm = _oversampled(fm, args)
     _write_matrix(fm, args.out)
     after = np.bincount(fm.labels, minlength=2)
     print(f"label 1: {before[1]} -> {after[1]}; label 0: {before[0]} -> {after[0]}")
@@ -284,32 +289,19 @@ def cmd_train(args):
         metadata["timestamp"] = args.timestamp
     # the report is built before the model is saved, so a run that fails
     # there (say, a validation split of one class) leaves no model behind
-    doc, roc = _evaluation_doc(
-        model,
-        split.validation,
-        threshold=0.5,
-        strategy=strategy,
-        extra={
-            "training_rows": split.train.n_rows,
-            "validation_rows": split.validation.n_rows,
-            "training_accuracy": trace.accuracy[-1],
-        },
-    )
+    doc, roc = _evaluation_doc(model, split.validation, threshold=0.5, strategy=strategy, extra={
+        "training_rows": split.train.n_rows, "validation_rows": split.validation.n_rows,
+        "training_accuracy": trace.accuracy[-1]})
     model_io.save_model(model, args.model_out, metadata)
     _emit_report(doc, roc, args)
 
 
 def cmd_tune(args):
     split = _prepare_split(args)
-    result = tune.grid_search(
-        split.train,
-        grid=args.grid,
-        folds=args.folds,
-        base=args.params,
-        seed=stage_seed(args.seed, FOLD_STAGE),
-        metric=args.metric,
-        threads=args.threads,
-    )
+    with _naming(args.input, ClassTooSmallForFoldsError, lambda exc: f"training split: {exc}"):
+        result = tune.grid_search(split.train, grid=args.grid, folds=args.folds, base=args.params,
+                                  seed=stage_seed(args.seed, FOLD_STAGE), metric=args.metric,
+                                  threads=args.threads)
     print(result.render(), end="")
     if args.report_out:
         _write_json(result.to_doc(), args.report_out)
@@ -319,13 +311,9 @@ def cmd_evaluate(args):
     model, metadata = model_io.load_model(args.model)
     ds, fm = _load_with_plan(args.input, model, labelled=True)
     skipped = ds.n_rows - fm.n_rows
-    doc, roc = _evaluation_doc(
-        model,
-        fm,
-        threshold=args.threshold,
-        strategy=metadata.get("strategy", "unknown"),
-        extra={"rows": fm.n_rows},
-    )
+    doc, roc = _evaluation_doc(model, fm, threshold=args.threshold,
+                               strategy=metadata.get("strategy", "unknown"),
+                               extra={"rows": fm.n_rows})
     if skipped:
         doc["rows_skipped_missing_label"] = skipped
     if fm.unseen_categories:
@@ -361,46 +349,65 @@ def _names(text: str) -> tuple[str, ...]:
     return tuple(c.strip() for c in text.split(",") if c.strip())
 
 
-def _labelled_rows(ds: dataset.Dataset, path) -> dataset.Dataset:
-    """ds without its unlabelled rows; EmptyInputError names `path` if none is left."""
+def _labelled_rows(ds: dataset.Dataset, path) -> tuple[dataset.Dataset, np.ndarray]:
+    """ds without its unlabelled rows, and the index in ds of each row kept; a data
+    error names `path` unless they hold both classes (so two rows or more)."""
+    kept = np.flatnonzero(~ds.missing(ds.schema.label_name))
     ds = dataset.drop_missing_labels(ds)
     if ds.n_rows == 0:
         raise EmptyInputError(f"{path}: no row has a label")
-    return ds
+    counts = dataset.class_balance(ds)
+    if 0 in (counts.negatives, counts.positives):
+        raise SingleClassInputError(f"{path}: need labelled rows of both classes, got "
+                                    f"{counts.negatives} negative and {counts.positives} positive")
+    return ds, kept
+
+
+@contextlib.contextmanager
+def _naming(path, error, message=str):
+    """Re-raise an `error` raised inside as a data error: `path`, then `message(exc)`."""
+    try:
+        yield
+    except error as exc:
+        raise DataError(f"{path}: {message(exc)}") from None
+
+
+def _cells_of(path, kept):
+    """Name a missing cell by `path` and its data row in the file, from 1;
+    `kept` holds the index in the file of each row encoded."""
+    return _naming(path, MissingCellError, lambda exc: f"row {kept[exc.row] + 1}: {exc.detail}")
 
 
 def _encoded_matrix(args) -> encode.FeatureMatrix:
-    """The labelled rows of --input, encoded; a data error naming the file
-    unless they hold both classes, which also takes two rows or more."""
-    ds = _labelled_rows(dataset.load_csv(args.input, _read_schema(args.schema)), args.input)
-    counts = dataset.class_balance(ds)
-    if 0 in (counts.negatives, counts.positives):
-        raise SingleClassInputError(f"{args.input}: need labelled rows of both classes, got "
-                                    f"{counts.negatives} negative and {counts.positives} positive")
-    return encode.apply_encoding(ds, encode.fit_encoding(ds, one_hot=args.one_hot))
+    """The labelled rows of --input, encoded by a plan fit on them."""
+    ds, kept = _labelled_rows(dataset.load_csv(args.input, _read_schema(args.schema)), args.input)
+    with _cells_of(args.input, kept):
+        return encode.apply_encoding(ds, encode.fit_encoding(ds, one_hot=args.one_hot))
+
+
+def _oversampled(fm: encode.FeatureMatrix, args) -> encode.FeatureMatrix:
+    """fm balanced by --smote-percent; a minority class too small names --input."""
+    with _naming(args.input, MinorityTooSmallError):
+        return resample.random_smote(fm, args.smote)
 
 
 def _prepare_split(args) -> encode.SplitPair:
     """Encode, balance, then shuffle and split into training and validation."""
-    fm = resample.random_smote(_encoded_matrix(args), args.smote)
-    return encode.shuffle_split(
-        fm, args.train_frac, seed=stage_seed(args.seed, SPLIT_STAGE)
-    )
+    fm = _oversampled(_encoded_matrix(args), args)
+    return encode.shuffle_split(fm, args.train_frac, seed=stage_seed(args.seed, SPLIT_STAGE))
 
 
 def _load_with_plan(path, model, labelled: bool):
     """Load rows for a model's plan and encode them in prediction mode.
 
-    `labelled` input must have the label column and at least one labelled
-    row, and loses its unlabelled rows; otherwise the label column may be
-    absent and every row is kept.
-
-    Raises:
-        EmptyInputError: `labelled` input with no labelled row.
+    `labelled` input must have the label column and labelled rows of both
+    classes, and loses its unlabelled rows; otherwise the label column may
+    be absent and every row is kept.
     """
     ds = dataset.load_csv(path, model.plan.schema, missing_label_ok=not labelled)
-    cleaned = _labelled_rows(ds, path) if labelled else ds
-    return ds, encode.apply_encoding(cleaned, model.plan, training=False)
+    rows, kept = _labelled_rows(ds, path) if labelled else (ds, np.arange(ds.n_rows))
+    with _cells_of(path, kept):
+        return ds, encode.apply_encoding(rows, model.plan, training=False)
 
 
 def _evaluation_doc(model, fm, threshold, strategy, extra):

@@ -210,16 +210,20 @@ class Dataset:
 
 
 def _as_column(values, kind: str):
+    """`values` as a float64 array, or as the `CodedColumn` that `_coded` makes of
+    each value as `str` (None as "") for a text kind, as `load_csv` codes text."""
     if isinstance(values, CodedColumn) and kind != CONTINUOUS:
         return values
-    col = np.asarray(values)
-    if col.ndim != 1:
+    text = kind != CONTINUOUS
+    # a text sequence is read as objects, so no cell is widened to the longest one
+    col = np.asarray(values, dtype=object if text and not isinstance(values, np.ndarray) else None)
+    if col.ndim != 1 or (text and any(np.ndim(v) for v in col)):  # a cell may not be a list
         raise ValueError("each column must be one-dimensional")
+    if text:
+        texts = ["" if v is None else str(v) for v in col]
+        return _coded(texts, np.arange(len(texts)))
     if col.dtype == object:
-        col = np.where(np.equal(col, None), np.nan if kind == CONTINUOUS else "", col)
-    if kind != CONTINUOUS:
-        texts, codes = np.unique(col.astype(np.str_), return_inverse=True)
-        return CodedColumn(tuple(texts.tolist()), codes)
+        col = np.where(np.equal(col, None), np.nan, col)
     col = col.astype(np.float64)
     if np.isinf(col).any():
         raise ValueError("a continuous column holds an infinity")

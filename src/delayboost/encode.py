@@ -270,9 +270,7 @@ def apply_encoding(ds: Dataset, plan: EncodingPlan, training: bool = True) -> Fe
     classes = label_classes(ds, plan.positive_label_value)
     missing = classes < 0
     if training and missing.any():
-        raise MissingCellError(
-            f"row {np.argmax(missing)}: missing label (drop missing labels first)"
-        )
+        raise MissingCellError(int(np.argmax(missing)), "missing label (drop missing labels first)")
 
     return FeatureMatrix(values=values, labels=classes == 1, plan=plan, unseen_categories=unseen)
 
@@ -280,7 +278,7 @@ def apply_encoding(ds: Dataset, plan: EncodingPlan, training: bool = True) -> Fe
 def _require_present(ds: Dataset, name: str) -> None:
     missing = ds.missing(name)
     if missing.any():
-        raise MissingCellError(f"row {np.argmax(missing)}: missing value in column {name!r}")
+        raise MissingCellError(int(np.argmax(missing)), f"missing value in column {name!r}")
 
 
 @dataclass(frozen=True)

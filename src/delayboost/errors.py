@@ -65,7 +65,11 @@ class UnseenCategoryError(DataError):
 
 
 class MissingCellError(DataError):
-    """A feature cell is missing where a value is required."""
+    """A cell is missing where a value is required: `row` is its index in the rows checked."""
+
+    def __init__(self, row: int, detail: str):
+        super().__init__(f"row {row}: {detail}")
+        self.row, self.detail = row, detail
 
 
 class TooFewRowsError(DataError):

@@ -89,12 +89,9 @@ def confusion(y_true, y_pred) -> ConfusionMatrix:
         raise LengthMismatchError("need at least one sample")
     _check_binary("label", t)
     _check_binary("prediction", p)
-    return ConfusionMatrix(
-        tp=int(((t == 1) & (p == 1)).sum()),
-        fn=int(((t == 1) & (p == 0)).sum()),
-        fp=int(((t == 0) & (p == 1)).sum()),
-        tn=int(((t == 0) & (p == 0)).sum()),
-    )
+    # bin 2 * label + prediction: 0 tn, 1 fp, 2 fn, 3 tp
+    tn, fp, fn, tp = np.bincount(2 * t.astype(np.intp) + p.astype(np.intp), minlength=4).tolist()
+    return ConfusionMatrix(tp=tp, fn=fn, fp=fp, tn=tn)
 
 
 def summarize(cm: ConfusionMatrix) -> MetricsSummary:
@@ -112,15 +109,15 @@ def summarize(cm: ConfusionMatrix) -> MetricsSummary:
             return 0.0
         return num / den
 
+    def class_metrics(hits, missed, wrong, prefix):  # recall, precision and F1 of one class
+        recall = ratio(hits, hits + missed, prefix + "recall")
+        precision = ratio(hits, hits + wrong, prefix + "precision")
+        return recall, precision, ratio(2.0 * precision * recall, precision + recall, prefix + "f1")
+
     n = cm.total
     accuracy = ratio(cm.tp + cm.tn, n, "accuracy")
-    recall_pos = ratio(cm.tp, cm.tp + cm.fn, "recall")
-    precision_pos = ratio(cm.tp, cm.tp + cm.fp, "precision")
-    f1_pos = _f1(precision_pos, recall_pos, "f1", degenerate)
-
-    recall_neg = ratio(cm.tn, cm.tn + cm.fp, "negative_recall")
-    precision_neg = ratio(cm.tn, cm.tn + cm.fn, "negative_precision")
-    f1_neg = _f1(precision_neg, recall_neg, "negative_f1", degenerate)
+    recall_pos, precision_pos, f1_pos = class_metrics(cm.tp, cm.fn, cm.fp, "")
+    recall_neg, precision_neg, f1_neg = class_metrics(cm.tn, cm.fp, cm.fn, "negative_")
     pos_n, neg_n = cm.tp + cm.fn, cm.tn + cm.fp
     weighted_recall = (pos_n * recall_pos + neg_n * recall_neg) / n
     weighted_precision = (pos_n * precision_pos + neg_n * precision_neg) / n
@@ -137,13 +134,6 @@ def summarize(cm: ConfusionMatrix) -> MetricsSummary:
         confusion=cm,
         degenerate=tuple(degenerate),
     )
-
-
-def _f1(precision, recall, name, degenerate):
-    if precision + recall == 0.0:
-        degenerate.append(name)
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
 
 
 def render_report(doc: dict) -> str:
@@ -169,10 +159,14 @@ def render_report(doc: dict) -> str:
             ["actual=1", str(cm["tp"]), str(cm["fn"])],
             ["actual=0", str(cm["fp"]), str(cm["tn"])],
         ]
-        widths = [max(len(r[i]) for r in cells) for i in range(3)]
-        for r in cells:
-            lines.append("  " + "  ".join(c.rjust(w) for c, w in zip(r, widths)))
+        lines += ["  " + line for line in _aligned(cells)]
     return "\n".join(lines) + "\n"
+
+
+def _aligned(rows) -> list[str]:
+    """Each row of text cells as a line, each column right-aligned to its widest cell."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    return ["  ".join(cell.rjust(w) for cell, w in zip(row, widths)) for row in rows]
 
 
 def roc_auc(y_true, scores) -> RocCurve:

@@ -114,7 +114,7 @@ def random_smote_with_trace(fm: FeatureMatrix, cfg: SmoteConfig):
     minority_idx = np.flatnonzero(fm.labels == minority_label)
     m = minority_idx.size
     if m < 3:
-        raise MinorityTooSmallError(f"minority class has {m} rows, need at least 3")
+        raise MinorityTooSmallError(f"minority class has {m} row{'s' * (m != 1)}, need at least 3")
 
     firsts, seconds, draws = _draws(np.random.PCG64(cfg.seed), m, k)
     trace = SmoteTrace(

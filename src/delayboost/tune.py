@@ -25,7 +25,7 @@ import numpy as np
 from .boost import BoostParams, fit_gbc, label_scores, staged_scores
 from .encode import FeatureMatrix
 from .errors import ClassTooSmallForFoldsError, DataError, EmptyGridError
-from .metrics import confusion, summarize
+from .metrics import _aligned, confusion, summarize
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,9 @@ class Grid:
     depth_values: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "estimator_values", tuple(self.estimator_values))
-        object.__setattr__(self, "depth_values", tuple(self.depth_values))
-        for name, vals in (
-            ("estimator_values", self.estimator_values),
-            ("depth_values", self.depth_values),
-        ):
+        for name in ("estimator_values", "depth_values"):
+            vals = tuple(getattr(self, name))
+            object.__setattr__(self, name, vals)
             if not vals:
                 raise EmptyGridError(f"{name} is empty")
             if any(v < 1 for v in vals):
@@ -77,32 +74,19 @@ class GridResult:
             "metric": self.metric,
             "folds": self.folds,
             "seed": self.seed,
-            "cells": [
-                {
-                    "estimators": c.estimators,
-                    "max_depth": c.depth,
-                    "fold_scores": list(c.fold_scores),
-                    "mean_score": c.mean_score,
-                }
-                for c in self.cells
-            ],
+            "cells": [{"estimators": c.estimators, "max_depth": c.depth,
+                       "fold_scores": list(c.fold_scores), "mean_score": c.mean_score}
+                      for c in self.cells],
             "best": {"estimators": self.best[0], "max_depth": self.best[1]},
         }
 
     def render(self) -> str:
         """Aligned per-cell summary table, one row per combination."""
-        header = ["estimators", "max_depth"]
-        header += [f"fold{i}" for i in range(self.folds)]
-        header += [f"mean_{self.metric}"]
-        rows = [header]
-        for c in self.cells:
-            rows.append(
-                [str(c.estimators), str(c.depth)]
-                + [f"{s:.4f}" for s in c.fold_scores]
-                + [f"{c.mean_score:.4f}"]
-            )
-        widths = [max(len(r[i]) for r in rows) for i in range(len(header))]
-        lines = ["  ".join(cell.rjust(w) for cell, w in zip(r, widths)) for r in rows]
+        rows = [["estimators", "max_depth", *(f"fold{i}" for i in range(self.folds)),
+                 f"mean_{self.metric}"]]
+        rows += [[str(c.estimators), str(c.depth), *(f"{s:.4f}" for s in c.fold_scores),
+                  f"{c.mean_score:.4f}"] for c in self.cells]
+        lines = _aligned(rows)
         lines.append(f"best: estimators={self.best[0]} max_depth={self.best[1]}")
         return "\n".join(lines) + "\n"
 
@@ -125,9 +109,8 @@ def stratified_folds(labels: np.ndarray, folds: int, seed: int) -> list[np.ndarr
     for cls in (0, 1):
         idx = np.flatnonzero(labels == cls)
         if idx.size < folds:
-            raise ClassTooSmallForFoldsError(
-                f"class {cls} has {idx.size} rows, fewer than {folds} folds"
-            )
+            raise ClassTooSmallForFoldsError(f"class {cls} has {idx.size} row"
+                                             f"{'s' * (idx.size != 1)}, fewer than {folds} folds")
         per_class_chunks.append(np.array_split(rng.permutation(idx), folds))
     return [
         np.concatenate([chunks[i] for chunks in per_class_chunks])

@@ -120,6 +120,17 @@ class TestScores:
         assert float(sigmoid(np.array([-1000.0]))[0]) == pytest.approx(0.0, abs=1e-300)
         assert np.isfinite(sigmoid(np.array([1e3, -1e3]))).all()
 
+    def test_sigmoid_calls_exp_once_on_no_positive_value(self, monkeypatch):
+        calls, exp = [], np.exp
+
+        def counted(x):
+            calls.append(np.array(x))
+            return exp(x)
+
+        monkeypatch.setattr(boost.np, "exp", counted)
+        sigmoid(np.array([-800.0, -1.5, -0.0, 0.0, 2.0, 800.0, np.inf, -np.inf, np.nan]))
+        assert len(calls) == 1 and not (calls[0] > 0).any()
+
     def test_dimension_mismatch(self, separable):
         model, _ = fit_gbc(separable, quick_params(estimators=2))
         with pytest.raises(DimensionMismatchError):
@@ -128,6 +139,46 @@ class TestScores:
         with pytest.raises(DimensionMismatchError):
             predict_proba(model, separable.values[0])
         assert predict_proba(model, separable.values[:1]).shape == (1,)
+
+
+def two_branch_sigmoid(f):
+    """The logistic function as two boolean-masked halves, one `np.exp` each."""
+    f = np.asarray(f, dtype=np.float64)
+    out = np.empty_like(f)
+    pos = f >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-f[pos]))
+    ef = np.exp(f[~pos])
+    out[~pos] = ef / (1.0 + ef)
+    return out
+
+
+# signed zeros, infinities, NaNs with payloads, subnormals and the ends of exp's range
+_SIGMOID_EDGES = np.concatenate([
+    [0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+     709.78, -709.78, 745.2, -745.2, 1.7976931348623157e308, -1.7976931348623157e308],
+    np.array([0x7FF8000000000001, 0xFFF8000000000123, 0x7FF0000000000001], np.uint64)
+    .view(np.float64),
+])
+
+
+class TestSigmoidProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.integers(0, 40),
+                  elements=st.one_of(st.floats(), st.sampled_from(_SIGMOID_EDGES.tolist()))),
+           st.booleans())
+    def test_equals_the_two_branch_form(self, f, zero_d):
+        if zero_d and f.size:
+            f = f[0, ...]  # a 0-d array
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = sigmoid(f)
+        want = two_branch_sigmoid(f)
+        assert (type(got), got.shape, got.dtype, got.tobytes()) == (
+            type(want), want.shape, want.dtype, want.tobytes())
+
+    def test_edge_values(self):
+        got = sigmoid(_SIGMOID_EDGES)
+        assert got.tobytes() == two_branch_sigmoid(_SIGMOID_EDGES).tobytes()
+        assert got[:4].tolist() == [0.5, 0.5, 1.0, 0.0]
 
 
 class TestBlockedScoring:

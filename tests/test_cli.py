@@ -72,10 +72,11 @@ def without_labels(ws):
     return relabelled(ws, "unlabelled.csv", itertools.repeat(""))
 
 
-def labelled_command(ws, command, data_file):
+def labelled_command(ws, command, data_file, model=None):
     """The argv of a labelled subcommand on data_file; it writes only labelled_outputs(ws).
 
-    "balance-0" is `balance` at --smote-percent 0, which writes the matrix as it is."""
+    "balance-0" is `balance` at --smote-percent 0, which writes the matrix as it is;
+    "evaluate" scores the model file `model`."""
     data = ["--input", data_file, "--schema", ws / "schema.json"]
     return {
         "train": train_args(ws, **{"--input": data_file}),
@@ -83,6 +84,8 @@ def labelled_command(ws, command, data_file):
         "balance": ["balance", *data, "--out", ws / "out"],
         "balance-0": ["balance", *data, "--smote-percent", 0, "--out", ws / "out"],
         "corr": ["corr", *data, "--out", ws / "out"],
+        "evaluate": ["evaluate", "--model", model, "--input", data_file,
+                     "--report-out", ws / "report.json", "--roc-out", ws / "roc.csv"],
     }[command]
 
 
@@ -473,16 +476,37 @@ class TestExitCodes:
         ("one-row", "1.00", "0 negative and 1 positive"),
         ("one-class", "0.00", "150 negative and 0 positive"),
     ])
-    @pytest.mark.parametrize("command", ["train", "tune", "balance", "balance-0", "corr"])
-    def test_input_of_one_class_is_3(self, workspace, command, rows, label, counts):
-        # one row, or rows of one class, cannot be fitted, balanced or
-        # correlated with the label: a data error naming the file, before
-        # any output is written
+    @pytest.mark.parametrize("command",
+                             ["train", "tune", "balance", "balance-0", "corr", "evaluate"])
+    def test_input_of_one_class_is_3(self, workspace, cli_model, command, rows, label, counts):
+        # one row, or rows of one class, cannot be fitted, balanced, correlated
+        # with the label or given an ROC curve: a data error naming the file,
+        # before any output is written
         bad = relabelled(workspace, f"{rows}.csv", itertools.repeat(label),
                          1 if rows == "one-row" else None)
-        code, err = run_quietly(*labelled_command(workspace, command, bad))
+        code, err = run_quietly(*labelled_command(workspace, command, bad, cli_model[0]))
         assert code == 3
         assert err == [f"error: {bad}: need labelled rows of both classes, got {counts}"]
+        assert not any(path.exists() for path in labelled_outputs(workspace))
+
+    @pytest.mark.parametrize("positives", [1, 2])
+    @pytest.mark.parametrize("command", ["balance", "train", "tune"])
+    def test_class_too_small_is_named_with_its_file(self, workspace, command, positives):
+        # SMOTE takes 3 minority rows, and tune's 3 folds a row of each class
+        # apiece, counted in the training split: a data error naming the file
+        bad = relabelled(workspace, "few.csv", ["1.00"] * positives + ["0.00"] * 150)
+        if command == "tune":
+            argv = ["tune", "--input", bad, "--schema", workspace / "schema.json",
+                    "--grid", "2x1", "--report-out", workspace / "report.json"]
+            ids = make_matrix(np.arange(150.0)[:, None], np.zeros(150, dtype=np.int64))
+            train = db.shuffle_split(ids, 0.8, seed=stage_seed(0, SPLIT_STAGE)).train
+            n = int((train.values[:, 0] < positives).sum())
+            what = f"training split: class 1 has {n} row{'s' * (n != 1)}, fewer than 3 folds"
+        else:
+            argv = labelled_command(workspace, command, bad)  # both at --smote-percent 200
+            what = f"minority class has {positives} row{'s' * (positives != 1)}, need at least 3"
+        code, err = run_quietly(*argv)
+        assert code == 3 and err == [f"error: {bad}: {what}"]
         assert not any(path.exists() for path in labelled_outputs(workspace))
 
     @pytest.mark.parametrize("command, flags", [
@@ -794,6 +818,29 @@ class TestCsvInput:
         assert code == 3 and err == [
             f"error: {bad}: line 3: non-numeric value 'abc' in continuous column "
             "'CRS_Departure_Time'"]
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_a_missing_cell_is_named_by_its_file_and_row(self, cli_model, tmp_path, command):
+        # lines 2 and 3 lose their labels, line 7 its Month: the cell is data
+        # row 6 of the file, whichever rows a subcommand keeps
+        model, data = cli_model
+        lines = data.read_text().splitlines()
+        header = lines[0].split(",")
+        for line, name in ((2, "Arr_Del_15"), (3, "Arr_Del_15"), (7, "Month")):
+            cells = lines[line - 1].split(",")
+            cells[header.index(name)] = ""
+            lines[line - 1] = ",".join(cells)
+        bad = tmp_path / "missing.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        code, err = run_quietly(*{
+            "train": ["train", "--input", bad, "--schema", data.parent / "schema.json",
+                      "--estimators", 2, "--model-out", out],
+            "evaluate": ["evaluate", "--model", model, "--input", bad, "--report-out", out],
+            "predict": ["predict", "--model", model, "--input", bad, "--out", out],
+        }[command])
+        assert code == 3 and err == [f"error: {bad}: row 6: missing value in column 'Month'"]
+        assert not out.exists()
 
 
 _FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),

@@ -732,6 +732,54 @@ class TestCodedColumns:
             Dataset(TWO_COL, ([930.0], ["1"])).coded("CRS_Dep")
 
 
+def unique_route(values):
+    """A text column's (texts, codes) by the fixed-width route `Dataset` once took:
+    a str array sized by its longest cell, "" for None, then `np.unique`."""
+    col = np.asarray(values)
+    if col.dtype == object:
+        col = np.where(np.equal(col, None), "", col)
+    texts, codes = np.unique(col.astype(np.str_), return_inverse=True)
+    return tuple(texts.tolist()), codes.tolist()
+
+
+_TEXT_SEQUENCES = st.one_of(
+    st.lists(st.one_of(st.none(), TEXT), max_size=12),
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=12),
+    st.lists(st.floats(), max_size=12),
+    st.lists(st.booleans(), max_size=12),
+)
+
+
+class TestTextColumnCoding:
+    @settings(max_examples=300, deadline=None)
+    @given(_TEXT_SEQUENCES, st.booleans())
+    def test_codes_as_the_unique_route(self, values, as_array):
+        if as_array and values and None not in values:  # an array's cells are read as its scalars
+            values = np.asarray(values)
+        column = Dataset(Schema((Column("y", LABEL),), "1"), (values,)).coded("y")
+        assert (column.texts, column.codes.tolist()) == unique_route(values)
+
+    @pytest.mark.parametrize("values", [[["a"], ["b", "c"]], [["a"], "b"], ["a", ("b",)]])
+    def test_a_nested_cell_is_not_one_dimensional(self, values):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Dataset(Schema((Column("y", LABEL),), "1"), (values,))
+
+    def test_a_wide_cell_costs_its_own_length(self):
+        # one 50,000-character cell among 2,000 short ones: a str array would
+        # hold 2,001 cells of 200,000 bytes, a coded column holds the text once
+        cells = ["a"] * 2000 + ["x" * 50_000]
+        schema = Schema((Column("name", CATEGORICAL), Column("y", LABEL)), "1")
+        tracemalloc.start()
+        try:
+            ds = Dataset(schema, (cells, ["1"] * len(cells)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        column = ds.coded("name")
+        assert column.texts == ("a", "x" * 50_000) and column.codes.tolist() == [0] * 2000 + [1]
+        assert peak < 5_000_000
+
+
 class TestRoundTripProperty:
     @settings(max_examples=80, deadline=None)
     @given(_datasets())

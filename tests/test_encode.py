@@ -326,9 +326,7 @@ def reference_apply_encoding(ds, plan, training=True):
     classes = label_classes(ds, plan.positive_label_value)
     missing = classes < 0
     if training and missing.any():
-        raise MissingCellError(
-            f"row {np.argmax(missing)}: missing label (drop missing labels first)"
-        )
+        raise MissingCellError(int(np.argmax(missing)), "missing label (drop missing labels first)")
     return values, classes == 1, unseen
 
 

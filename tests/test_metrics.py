@@ -74,6 +74,23 @@ class TestConfusion:
         cm = confusion([1, 0, 1, 0, 1], [0, 0, 1, 1, 1])
         assert cm.total == 5
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.bool_, np.int8, np.int64])
+    def test_float_and_bool_inputs_count_as_ints(self, dtype):
+        t = np.array([1, 1, 1, 0, 0, 0, 0, 1, 0], dtype=dtype)
+        p = np.array([1, 1, 0, 1, 0, 0, 0, 1, 0], dtype=dtype)
+        cm = confusion(t, p)
+        assert (cm.tp, cm.fn, cm.fp, cm.tn) == (3, 1, 1, 4)
+        assert all(type(n) is int for n in (cm.tp, cm.fn, cm.fp, cm.tn))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1)), min_size=1),
+           st.sampled_from([np.float64, np.bool_, np.int64]))
+    def test_counts_equal_four_masked_passes(self, pairs, dtype):
+        t, p = (np.array(v, dtype=dtype) for v in zip(*pairs))
+        cm = confusion(t, p)
+        assert (cm.tp, cm.fn, cm.fp, cm.tn) == tuple(
+            int(((t == a) & (p == b)).sum()) for a, b in [(1, 1), (1, 0), (0, 1), (0, 0)])
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             confusion([1, 0], [1])

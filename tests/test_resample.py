@@ -145,6 +145,13 @@ class TestCounts:
         with pytest.raises(MinorityTooSmallError):
             random_smote(fm, SmoteConfig(100, seed=0))
 
+    @pytest.mark.parametrize("n_min, rows", [(1, "1 row"), (2, "2 rows")])
+    def test_minority_too_small_names_its_row_count(self, n_min, rows):
+        fm = imbalanced(n_min=n_min, n_maj=10)
+        with pytest.raises(MinorityTooSmallError) as exc:
+            random_smote(fm, SmoteConfig(100, seed=0))
+        assert str(exc.value) == f"minority class has {rows}, need at least 3"
+
     def test_zero_percent_returns_the_input(self):
         # Strategy 1: no minority check and no draw, so fewer than 3 minority rows pass
         for n_min in (5, 1, 0):

@@ -51,6 +51,13 @@ class TestFolds:
         with pytest.raises(ClassTooSmallForFoldsError):
             stratified_folds(labels, 3, seed=0)
 
+    @pytest.mark.parametrize("n_pos, rows", [(1, "1 row"), (2, "2 rows")])
+    def test_class_too_small_names_its_row_count(self, n_pos, rows):
+        labels = np.array([0] * 10 + [1] * n_pos)
+        with pytest.raises(ClassTooSmallForFoldsError) as exc:
+            stratified_folds(labels, 3, seed=0)
+        assert str(exc.value) == f"class 1 has {rows}, fewer than 3 folds"
+
     def test_deterministic(self):
         labels = np.array([0, 1] * 8)
         a = stratified_folds(labels, 4, seed=5)
