@@ -13,12 +13,13 @@ multiple of 100 is Strategy 2), a model's input schema and the CSV field
 format; subcommands only pass their flags on.  All randomness flows from
 --seed: stage seeds derive as SeedSequence([seed, STAGE]) with STAGE 1 for
 oversampling, 2 for the shuffle/split, and 3 for fold construction, so
-reruns with one seed reproduce every stage byte for byte.  --threads
+reruns with one seed reproduce every stage byte for byte.  --threads N
 (default: every CPU this process may run on, and capped at that count) is
-the number of threads `train` and `tune` fit on; a fit of fewer rows than
+the number of threads `train` fits on; a fit of fewer rows than
 `tree._THREAD_ROWS` runs on one.  The threads share out each fit's
-per-feature work and the winning splits are picked once all of it is done,
-so outputs never depend on --threads.
+per-feature work and the winning splits are picked once all of it is done.
+For `tune`, (fold, depth) fits run in up to N forked processes, which share
+the N threads out among their fits.  Outputs never depend on --threads.
 
 Reports and predictions label a row by `boost.label_scores` at --threshold
 (0.5 for train); a report's AUROC and --roc-out curve share one ROC sweep.
@@ -29,7 +30,8 @@ malformed schema file, labelled input with no labelled row or of one class,
 or a --train-frac that leaves a split empty), 4 numeric or training error.
 A data error in an input names its file, a class too small for SMOTE or for
 tune's folds among them (tune counts the rows of its training split); a
-missing cell also names its data row in the file, counted from 1.
+missing or bad cell also names its line in the file, counted from 1 with
+the header and blank lines.
 """
 
 from __future__ import annotations
@@ -214,7 +216,8 @@ def _pipeline_flags(p):
     p.add_argument("--train-frac", type=float, default=0.8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--threads", type=int,
-                   help="threads to fit on (default: every CPU this process may run on)")
+                   help="threads to fit on; tune runs its fits in up to this many forked "
+                        "processes (default: every CPU this process may run on)")
 
 
 def cmd_synth(args):
@@ -373,9 +376,10 @@ def _naming(path, error, message=str):
 
 
 def _cells_of(path, kept):
-    """Name a missing cell by `path` and its data row in the file, from 1;
-    `kept` holds the index in the file of each row encoded."""
-    return _naming(path, MissingCellError, lambda exc: f"row {kept[exc.row] + 1}: {exc.detail}")
+    """Name a missing cell by `path` and its line in the file, as `load_csv`
+    names a bad cell; `kept` holds the data row in the file of each row encoded."""
+    return _naming(path, MissingCellError,
+                   lambda exc: f"line {dataset.row_line(path, kept[exc.row])}: {exc.detail}")
 
 
 def _encoded_matrix(args) -> encode.FeatureMatrix:

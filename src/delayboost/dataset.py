@@ -336,18 +336,7 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
             column, a quote that breaks the quoting rule, a NUL character
             anywhere in the file, or a file that is not UTF-8.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FieldParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if b"\0" in data:
-        raise FieldParseError(f"{path}: NUL character in file")
-    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
-    # 8 zero bytes after the text, so an 8-byte word fits at every cell's start
-    data = data[bom:] + bytes(8)
-    buf = np.frombuffer(data, np.uint8)[:-8]
+    data, buf = _read_text(path)
     starts, ends, count = _split_fields(buf, path)
     if not count.size:
         raise EmptyInputError(f"{path}: empty file, header required")
@@ -396,6 +385,34 @@ def load_csv(path, schema: Schema, missing_label_ok: bool = False) -> Dataset:
         columns.get(c.name, CodedColumn(("",), np.zeros(n_rows, np.int32)))
         for c in schema.columns
     ])
+
+
+def _read_text(path) -> tuple[bytes, np.ndarray]:
+    """The bytes of CSV `path` past any BOM, then 8 zero bytes (so an 8-byte
+    word fits at every cell's start), and a uint8 view of them without the 8.
+
+    Raises FieldParseError for a file that is not UTF-8 or holds a NUL.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FieldParseError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if b"\0" in data:
+        raise FieldParseError(f"{path}: NUL character in file")
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    data = data[bom:] + bytes(8)
+    return data, np.frombuffer(data, np.uint8)[:-8]
+
+
+def row_line(path, row: int) -> int:
+    """The line of CSV `path` that holds the data row that `load_csv` puts at
+    index `row`, counted as its messages count: from 1, with the header and
+    blank lines.  The file is read again, so call this on an error path."""
+    _, buf = _read_text(path)
+    starts, _, count = _split_fields(buf, path)
+    return _line_number(buf, starts[count[:row + 1].sum()])
 
 
 _QUOTE, _COMMA, _LF, _CR = b'"'[0], b","[0], b"\n"[0], b"\r"[0]

@@ -12,12 +12,22 @@ of a smaller count is that fit's first trees, and `staged_scores` passes
 through its held-out scores on the way to the full model's: every cell is
 scored as if it had been fitted on its own.
 
+The (fold, depth) fits are independent jobs.  With `threads` (None: every
+CPU this process may run on) above 1, they run in up to that many `fork`ed
+child processes, which inherit the training matrix and the folds and send
+back only each cell's score; the interpreter lock would serialize them on
+threads.  Every score is filed in job order, so the result has the same
+bytes whatever `threads` is.
+
 The best cell maximizes mean held-out score; ties break to the smallest
 estimator count, then the smallest depth, preferring the cheaper model.
 """
 
 from __future__ import annotations
 
+import itertools
+import threading
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,6 +36,7 @@ from .boost import BoostParams, fit_gbc, label_scores, staged_scores
 from .encode import FeatureMatrix
 from .errors import ClassTooSmallForFoldsError, DataError, EmptyGridError
 from .metrics import _aligned, confusion, summarize
+from .tree import worker_count
 
 
 @dataclass(frozen=True)
@@ -132,34 +143,89 @@ def grid_search(
 
     `metric` is "accuracy" or "f1" (positive class), read off `summarize` for
     each held-out fold labelled by `label_scores` at its 0.5 threshold.
-    Every fit runs on `threads` threads, as `fit_gbc` reads it; the result
-    is the same whatever `threads` is.
+    The (fold, depth) fits run in up to `tree.worker_count(threads)` forked
+    processes, one job each, deepest first, and each child fits on its share
+    of those threads.  On one CPU, where `fork` is missing, or while another
+    Python thread runs, they run here in turn.  The result is the same
+    whatever `threads` is.
+
+    Raises:
+        concurrent.futures.process.BrokenProcessPool: a child died.
     """
     if metric not in ("accuracy", "f1"):
         raise DataError(f"unknown metric {metric!r}")
     val_folds = stratified_folds(train.labels, folds, seed)
-    all_rows = np.arange(train.n_rows)
+    cpus = worker_count(threads)
+    key = next(_keys)
+    # deepest first, so the longest fits do not start last; sorted keeps fold order
+    jobs = sorted(((key, fold, d) for fold in range(folds) for d in grid.depth_values),
+                  key=lambda job: -job[2])
+    fork = _fork_context() if min(cpus, len(jobs)) > 1 else None
+    procs = min(cpus, len(jobs)) if fork else 1
+    _searches[key] = (train, val_folds, grid, base, metric, max(1, cpus // procs))
+    try:
+        if fork is None:
+            scored = list(map(_fold_depth, jobs))
+        else:
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(procs, mp_context=fork) as pool:
+                with warnings.catch_warnings():
+                    # Python 3.12 warns at a fork while any other thread runs, NumPy's
+                    # BLAS threads among them; those fork safely, and no Python thread runs
+                    warnings.filterwarnings("ignore", "This process .*is multi-threaded",
+                                            DeprecationWarning)
+                    scored = pool.map(_fold_depth, jobs)  # forks every child at the first job
+                scored = list(scored)
+    finally:
+        del _searches[key]
 
     # estimators-major, the order the cells are reported and tie-broken in
     fold_scores = {(e, d): [] for e in grid.estimator_values for d in grid.depth_values}
-    for val_idx in val_folds:
-        fit_rows = train.take(np.setdiff1d(all_rows, val_idx))
-        held_out = train.take(val_idx)
-        for depth in grid.depth_values:
-            params = replace(
-                base,
-                estimators=grid.estimator_values[-1],
-                tree_params=replace(base.tree_params, max_depth=depth),
-            )
-            model, _ = fit_gbc(fit_rows, params, threads=threads)
-            for estimators, scores in enumerate(staged_scores(model, held_out.values)):
-                if (estimators, depth) in fold_scores:
-                    summary = summarize(confusion(held_out.labels, label_scores(scores)))
-                    fold_scores[estimators, depth].append(getattr(summary, metric))
-        del fit_rows, held_out  # peak memory: free them before the next fold copies its rows
+    for (_, _, d), pairs in sorted(zip(jobs, scored), key=lambda done: done[0][1]):  # by fold
+        for estimators, score in pairs:
+            fold_scores[estimators, d].append(score)
 
     cells = tuple(CellScore(e, d, tuple(scores)) for (e, d), scores in fold_scores.items())
     best = max(cells, key=lambda c: c.mean_score)  # the first best: the cheapest cell
     return GridResult(
         cells=cells, best=(best.estimators, best.depth), folds=folds, metric=metric, seed=seed
     )
+
+
+# The searches running in this process, by key: (matrix, validation folds,
+# grid, base params, metric, threads per fit).  A forked child reads its
+# search here, so a job pickles only its (key, fold, depth).
+_searches: dict[int, tuple] = {}
+_keys = itertools.count()
+
+
+def _fold_depth(job: tuple[int, int, int]) -> list[tuple[int, float]]:
+    """Fit the rows outside fold `fold` at depth `depth` and the grid's largest
+    estimator count, and score the fold's rows at every count in the grid.
+
+    Returns [(estimators, metric value)] in increasing estimator order.
+    """
+    key, fold, depth = job
+    train, val_folds, grid, base, metric, threads = _searches[key]
+    val_idx = val_folds[fold]
+    held_out = train.take(val_idx)
+    params = replace(base, estimators=grid.estimator_values[-1],
+                     tree_params=replace(base.tree_params, max_depth=depth))
+    model, _ = fit_gbc(train.take(np.setdiff1d(np.arange(train.n_rows), val_idx)), params,
+                       threads=threads)
+    counts = set(grid.estimator_values)
+    return [(estimators, getattr(summarize(confusion(held_out.labels, label_scores(scores))),
+                                 metric))
+            for estimators, scores in enumerate(staged_scores(model, held_out.values))
+            if estimators in counts]
+
+
+def _fork_context():
+    """The `fork` start method's context; None where it is missing, or while
+    another Python thread runs, whose locks a child would inherit held."""
+    import multiprocessing  # here, so that `import delayboost` stays quick
+
+    if threading.active_count() > 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    return multiprocessing.get_context("fork")

@@ -821,8 +821,8 @@ class TestCsvInput:
 
     @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
     def test_a_missing_cell_is_named_by_its_file_and_row(self, cli_model, tmp_path, command):
-        # lines 2 and 3 lose their labels, line 7 its Month: the cell is data
-        # row 6 of the file, whichever rows a subcommand keeps
+        # lines 2 and 3 lose their labels, line 7 its Month: the cell is on
+        # line 7 of the file, whichever rows a subcommand keeps
         model, data = cli_model
         lines = data.read_text().splitlines()
         header = lines[0].split(",")
@@ -839,8 +839,33 @@ class TestCsvInput:
             "evaluate": ["evaluate", "--model", model, "--input", bad, "--report-out", out],
             "predict": ["predict", "--model", model, "--input", bad, "--out", out],
         }[command])
-        assert code == 3 and err == [f"error: {bad}: row 6: missing value in column 'Month'"]
+        assert code == 3 and err == [f"error: {bad}: line 7: missing value in column 'Month'"]
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "evaluate", "predict"])
+    def test_a_missing_and_a_bad_cell_name_one_line_alike(self, cli_model, tmp_path, command):
+        # with a blank line after the header, data row 6 is on line 8, and
+        # both errors count the file's lines
+        model, data = cli_model
+        lines = data.read_text().splitlines()
+        header = lines[0].split(",")
+        for name, value, detail in (
+                ("Month", "", "missing value in column 'Month'"),
+                ("CRS_Departure_Time", "abc",
+                 "non-numeric value 'abc' in continuous column 'CRS_Departure_Time'")):
+            cells = lines[6].split(",")
+            cells[header.index(name)] = value
+            bad = tmp_path / f"{name}.csv"
+            bad.write_text("\n".join([lines[0], "", *lines[1:6], ",".join(cells), *lines[7:]])
+                           + "\n")
+            code, err = run_quietly(*{
+                "train": ["train", "--input", bad, "--schema", data.parent / "schema.json",
+                          "--estimators", 2, "--model-out", tmp_path / "out"],
+                "evaluate": ["evaluate", "--model", model, "--input", bad],
+                "predict": ["predict", "--model", model, "--input", bad,
+                            "--out", tmp_path / "out"],
+            }[command])
+            assert code == 3 and err == [f"error: {bad}: line 8: {detail}"]
 
 
 _FLOAT = st.one_of(st.floats(allow_nan=False, allow_infinity=False),

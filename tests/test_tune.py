@@ -1,9 +1,23 @@
+import faulthandler
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
+import warnings
+from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import delayboost
 from conftest import make_matrix, separable_matrix
+from delayboost import tune
 from delayboost.boost import BoostParams, decision_function, fit_gbc, label_scores
-from delayboost.errors import ClassTooSmallForFoldsError, DataError, EmptyGridError
+from delayboost.encode import FeatureMatrix
+from delayboost.errors import (ClassTooSmallForFoldsError, DataError, EmptyGridError,
+                               NonFiniteFeatureError, TrainingError)
 from delayboost.metrics import confusion, summarize
 from delayboost.tree import TreeParams
 from delayboost.tune import DEFAULT_GRID, Grid, grid_search, stratified_folds
@@ -156,3 +170,126 @@ class TestGridSearch:
         doc = result.to_doc()
         assert doc["best"] == {"estimators": 2, "max_depth": 1}
         assert len(doc["cells"]) == 1
+
+
+@pytest.fixture
+def four_cpus(monkeypatch):
+    """Four CPUs for `worker_count`, whatever the host has; checks that each
+    test leaves no child process and no new thread behind."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)), raising=False)
+    before = threading.active_count()
+    yield
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == before
+
+
+class TestForkedJobs:
+    """`grid_search` runs its (fold, depth) jobs in forked children when it may
+    use more than one CPU."""
+
+    def test_children_give_the_serial_result_and_pickle_no_matrix(self, four_cpus, monkeypatch):
+        fm, grid = separable_matrix(), Grid((1, 4), (1, 2, 3))
+        serial = grid_search(fm, grid, folds=3, base=BASE, seed=6, threads=1)
+
+        def refuse(self, protocol):
+            raise AssertionError("a FeatureMatrix was pickled")
+
+        monkeypatch.setattr(FeatureMatrix, "__reduce_ex__", refuse)
+        for threads in (2, 3, None):
+            assert grid_search(fm, grid, folds=3, base=BASE, seed=6, threads=threads) == serial
+
+    def test_a_nan_raises_the_same_error_on_one_and_two_threads(self, four_cpus):
+        fm = separable_matrix()
+        values = fm.values.copy()
+        values[7, 1] = np.nan
+        fm = make_matrix(values, fm.labels)
+        messages = []
+        for threads in (1, 2):
+            with pytest.raises(NonFiniteFeatureError) as exc:
+                grid_search(fm, Grid((2,), (1, 2)), folds=2, base=BASE, seed=0, threads=threads)
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    def test_each_child_fits_on_its_share_of_the_threads(self, four_cpus, monkeypatch):
+        parent = os.getpid()
+
+        def report(train, params, *, threads):
+            raise TrainingError(f"threads={threads} child={os.getpid() != parent}")
+
+        monkeypatch.setattr(tune, "fit_gbc", report)
+        for threads, expected in ((None, "threads=2 child=True"), (3, "threads=1 child=True"),
+                                  (1, "threads=1 child=False")):
+            with pytest.raises(TrainingError, match=f"^{expected}$"):
+                grid_search(separable_matrix(), Grid((2,), (1,)), folds=2, base=BASE, seed=0,
+                            threads=threads)
+
+    def test_a_child_that_dies_raises_and_does_not_hang(self, four_cpus, monkeypatch):
+        parent = os.getpid()
+
+        def die(train, params, *, threads):
+            if os.getpid() != parent:
+                os._exit(1)
+            return fit_gbc(train, params, threads=threads)
+
+        monkeypatch.setattr(tune, "fit_gbc", die)
+        faulthandler.dump_traceback_later(120, exit=True)  # a hang ends the run, with tracebacks
+        try:
+            with pytest.raises(BrokenProcessPool):
+                grid_search(separable_matrix(), Grid((2,), (1, 2)), folds=2, base=BASE, seed=0,
+                            threads=2)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
+
+    def test_jobs_run_deepest_first(self, monkeypatch):
+        depths = []
+
+        def record(train, params, *, threads):
+            depths.append(params.tree_params.max_depth)
+            return fit_gbc(train, params, threads=threads)
+
+        monkeypatch.setattr(tune, "fit_gbc", record)
+        grid_search(separable_matrix(), Grid((2,), (1, 2, 3)), folds=2, base=BASE, seed=0,
+                    threads=1)
+        assert depths == [3, 3, 2, 2, 1, 1]
+
+    def test_no_fork_while_another_python_thread_runs(self, four_cpus, monkeypatch):
+        # Python 3.12 warns in the parent at a fork while the process has
+        # another thread (NumPy's BLAS threads count); this fork warns so on any version
+        fork, forks, raised = os.fork, [], []
+
+        def warning_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+                try:  # caught here: a fork that raises would leave its child waiting
+                    warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use of "
+                                  "fork() may lead to deadlocks in the child.", DeprecationWarning)
+                except DeprecationWarning as exc:
+                    raised.append(exc)
+            return pid
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        fm, grid = separable_matrix(), Grid((2,), (1, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            alone = grid_search(fm, grid, folds=2, base=BASE, seed=0, threads=2)
+        assert len(forks) == 2 and raised == []
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert grid_search(fm, grid, folds=2, base=BASE, seed=0, threads=2) == alone
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive() and len(forks) == 2
+
+
+def test_import_loads_no_process_pool():
+    code = ("import sys, delayboost; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(delayboost.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "[]\n"
